@@ -1,0 +1,5 @@
+(* Monotonic nanosecond clock (clock_gettime CLOCK_MONOTONIC through
+   bechamel's stub): every wall-time figure of the benchmark reads it. *)
+
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let seconds_since t0 = float_of_int (now_ns () - t0) /. 1e9
