@@ -341,12 +341,17 @@ let run_sweep ~sweep_max =
   rows
 
 let sweep_row_json r =
-  Printf.sprintf
-    "    {\"n\": %d, \"backend\": %s, \"insert_ops_per_s\": %.0f, \"query_ops_per_s\": %.0f, \
-     \"members\": %d, \"approx_bytes\": %d, \"answers_identical\": %b}"
-    r.sw_n
-    (Simkit.Json_str.quote r.sw_backend)
-    r.sw_insert_ops r.sw_query_ops r.sw_members r.sw_bytes r.sw_identical
+  Simkit.Json.(
+    Obj
+      [
+        ("n", Int r.sw_n);
+        ("backend", String r.sw_backend);
+        ("insert_ops_per_s", Number r.sw_insert_ops);
+        ("query_ops_per_s", Number r.sw_query_ops);
+        ("members", Int r.sw_members);
+        ("approx_bytes", Int r.sw_bytes);
+        ("answers_identical", Bool r.sw_identical);
+      ])
 
 let run_registry ~full ~sweep_max =
   banner "registry backends: insert/query throughput (unified interface)";
@@ -411,21 +416,25 @@ let run_registry ~full ~sweep_max =
        rows);
   let sweep_rows = run_sweep ~sweep_max in
   let row_json (name, insert_ops, query_ops, identical) =
-    Printf.sprintf
-      "{\"backend\": %s, \"insert_ops_per_s\": %.0f, \"query_ops_per_s\": %.0f, \
-       \"answers_identical\": %b}"
-      (Simkit.Json_str.quote name) insert_ops query_ops identical
+    Simkit.Json.(
+      Obj
+        [
+          ("backend", String name);
+          ("insert_ops_per_s", Number insert_ops);
+          ("query_ops_per_s", Number query_ops);
+          ("answers_identical", Bool identical);
+        ])
   in
   Simkit.Export.write_bench ~path:"BENCH_registry.json" ~seed:7
     ~backends:(List.map Eval.Backends.to_string Eval.Backends.all)
-    [
-      ("population", string_of_int population);
-      ("queries", string_of_int query_count);
-      ("k", string_of_int k);
-      ("backends", "[" ^ String.concat ", " (List.map row_json rows) ^ "]");
-      ( "sweep",
-        "[" ^ String.concat ", " (List.map (fun r -> String.trim (sweep_row_json r)) sweep_rows) ^ "]" );
-    ];
+    Simkit.Json.
+      [
+        ("population", Int population);
+        ("queries", Int query_count);
+        ("k", Int k);
+        ("backends", List (List.map row_json rows));
+        ("sweep", List (List.map sweep_row_json sweep_rows));
+      ];
   Printf.printf "wrote BENCH_registry.json (%d-peer workload, sweep to %d)\n%!" population
     (List.fold_left (fun acc r -> Int.max acc r.sw_n) 0 sweep_rows)
 
@@ -554,51 +563,55 @@ let run_obs ~full =
        (List.map (Printf.sprintf "%.1f")
           (Array.to_list fleet_result.Eval.Fleet_obs.replica_join_p99_ms)))
     fleet_result.Eval.Fleet_obs.shard_skew sketch_max_err;
+  let open Simkit.Json in
   let quantiles_json (s : Simkit.Trace.summary) =
-    let n = Simkit.Json_str.number in
-    Printf.sprintf
-      "{\"count\": %d, \"mean\": %s, \"p50\": %s, \"p90\": %s, \"p99\": %s, \"max\": %s}" s.count
-      (n s.mean) (n s.p50) (n s.p90) (n s.p99) (Simkit.Json_str.number_opt s.max)
+    Obj
+      [
+        ("count", Int s.count);
+        ("mean", Number s.mean);
+        ("p50", Number s.p50);
+        ("p90", Number s.p90);
+        ("p99", Number s.p99);
+        ("max", option (fun v -> Number v) s.max);
+      ]
   in
   let row_json (name, ins, q, ins_ex, q_ex, intro) =
-    Printf.sprintf
-      "    {\"backend\": %s, \"insert_ns\": %s, \"query_ns\": %s, \"insert_exemplars\": %d, \
-       \"query_exemplars\": %d, \"introspect\": %s}"
-      (Simkit.Json_str.quote name) (quantiles_json ins) (quantiles_json q) ins_ex q_ex
-      (Nearby.Registry_intf.introspection_json intro)
+    Obj
+      [
+        ("backend", String name);
+        ("insert_ns", quantiles_json ins);
+        ("query_ns", quantiles_json q);
+        ("insert_exemplars", Int ins_ex);
+        ("query_exemplars", Int q_ex);
+        ("introspect", Nearby.Registry_intf.introspection_json intro);
+      ]
   in
   let sketch_json =
-    Printf.sprintf
-      "{\"alpha\": %s, \"samples\": 5000, %s, \"max_rel_err\": %s, \"within_bound\": %b}"
-      (Simkit.Json_str.number Prelude.Sketch.default_alpha)
-      (String.concat ", "
-         (List.map
-            (fun (q, e) ->
-              Printf.sprintf "\"rel_err_p%d\": %s"
-                (int_of_float (q *. 100.0))
-                (Simkit.Json_str.number e))
-            sketch_err))
-      (Simkit.Json_str.number sketch_max_err)
-      sketch_within
+    Obj
+      ([ ("alpha", Number Prelude.Sketch.default_alpha); ("samples", Int 5000) ]
+      @ List.map
+          (fun (q, e) -> (Printf.sprintf "rel_err_p%d" (int_of_float (q *. 100.0)), Number e))
+          sketch_err
+      @ [ ("max_rel_err", Number sketch_max_err); ("within_bound", Bool sketch_within) ])
   in
   let fleet_json =
     let r = fleet_result in
-    Printf.sprintf
-      "{\"replicas\": %d, \"shards\": %d, \"joins\": %d, \"completed\": %d, \
-       \"completion_rate\": %s, \"merged_p50_ms\": %s, \"merged_p99_ms\": %s, \
-       \"replica_p99_ms\": [%s], \"within_bound\": %b, \"shard_skew\": %s, \"rpc_ok\": %d}"
-      (Nearby.Cluster.replica_count cluster)
-      Eval.Fleet_obs.quick_config.Eval.Fleet_obs.shards r.Eval.Fleet_obs.joins
-      r.Eval.Fleet_obs.completed
-      (Simkit.Json_str.number
-         (float_of_int r.Eval.Fleet_obs.completed /. float_of_int r.Eval.Fleet_obs.joins))
-      (Simkit.Json_str.number r.Eval.Fleet_obs.fleet_join_p50_ms)
-      (Simkit.Json_str.number r.Eval.Fleet_obs.fleet_join_p99_ms)
-      (String.concat ", "
-         (List.map Simkit.Json_str.number (Array.to_list r.Eval.Fleet_obs.replica_join_p99_ms)))
-      fleet_within
-      (Simkit.Json_str.number r.Eval.Fleet_obs.shard_skew)
-      r.Eval.Fleet_obs.rpc_ok
+    Obj
+      [
+        ("replicas", Int (Nearby.Cluster.replica_count cluster));
+        ("shards", Int Eval.Fleet_obs.quick_config.Eval.Fleet_obs.shards);
+        ("joins", Int r.Eval.Fleet_obs.joins);
+        ("completed", Int r.Eval.Fleet_obs.completed);
+        ( "completion_rate",
+          Number (float_of_int r.Eval.Fleet_obs.completed /. float_of_int r.Eval.Fleet_obs.joins) );
+        ("merged_p50_ms", Number r.Eval.Fleet_obs.fleet_join_p50_ms);
+        ("merged_p99_ms", Number r.Eval.Fleet_obs.fleet_join_p99_ms);
+        ( "replica_p99_ms",
+          List (List.map (fun v -> Number v) (Array.to_list r.Eval.Fleet_obs.replica_join_p99_ms)) );
+        ("within_bound", Bool fleet_within);
+        ("shard_skew", Number r.Eval.Fleet_obs.shard_skew);
+        ("rpc_ok", Int r.Eval.Fleet_obs.rpc_ok);
+      ]
   in
   Simkit.Export.write_bench ~path:"BENCH_obs.json" ~seed
     ~backends:(List.map Eval.Backends.to_string Eval.Backends.all)
@@ -608,11 +621,7 @@ let run_obs ~full =
         ("queries", string_of_int query_count);
         ("k", string_of_int k);
       ]
-    [
-      ("backends", "[" ^ String.concat ", " (List.map (fun r -> String.trim (row_json r)) results) ^ "]");
-      ("sketch", sketch_json);
-      ("fleet", fleet_json);
-    ];
+    [ ("backends", List (List.map row_json results)); ("sketch", sketch_json); ("fleet", fleet_json) ];
   Printf.printf "wrote BENCH_obs.json (%d-peer workload, %d queries)\n%!" population query_count
 
 (* ------------------------------------------------------------------ *)
@@ -663,10 +672,7 @@ let run_resilience ~full =
         ("routers", string_of_int base.routers);
         ("scenarios", String.concat " " scenarios);
       ]
-    [
-      ( "runs",
-        "[" ^ String.concat ", " (List.map Eval.Resilience_exp.result_json results) ^ "]" );
-    ];
+    [ ("runs", Simkit.Json.List (List.map Eval.Resilience_exp.result_json results)) ];
   Printf.printf "wrote BENCH_resilience.json (%d runs)\n%!" (List.length results)
 
 (* ------------------------------------------------------------------ *)
@@ -724,7 +730,7 @@ let run_load ~full =
         ("queue_cap", string_of_int base.Eval.Load_exp.queue_cap);
         ("slo_budget_ms", string_of_float base.Eval.Load_exp.slo_budget_ms);
       ]
-    [ ("runs", "[" ^ String.concat ", " (List.map Eval.Load_exp.result_json results) ^ "]") ];
+    [ ("runs", Simkit.Json.List (List.map Eval.Load_exp.result_json results)) ];
   Printf.printf "wrote BENCH_load.json (%d runs)\n%!" (List.length results)
 
 (* ------------------------------------------------------------------ *)
@@ -777,27 +783,9 @@ let run_health ~full =
 
 (* ------------------------------------------------------------------ *)
 (* Regression gate: BENCH_*.json (current working tree) vs the committed
-   baselines under bench/baselines/.  All timing metrics are normalized to
-   the tree backend within each run, so the comparison survives machine
-   changes; `--update` refreshes the baselines instead of judging. *)
-
-let regress_pairs =
-  [
-    ("BENCH_registry.json", Eval.Regression.registry_metrics);
-    ("BENCH_obs.json", Eval.Regression.obs_metrics);
-    ("BENCH_resilience.json", Eval.Regression.resilience_metrics);
-    ("BENCH_load.json", Eval.Regression.load_metrics);
-    ("BENCH_wire.json", Eval.Regression.wire_metrics);
-    ("BENCH_health.json", Eval.Regression.health_metrics);
-  ]
-
-let copy_file src dst =
-  let ic = open_in_bin src in
-  let data =
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  in
-  Simkit.Export.write_file dst data
+   baselines under bench/baselines/, judged by the gate tables of
+   Eval.Bench_gates.all; `--update` refreshes the baselines instead of
+   judging. *)
 
 let run_regress ~baseline_dir ~update ~pairs =
   banner "bench regression gate";
@@ -809,14 +797,16 @@ let run_regress ~baseline_dir ~update ~pairs =
           Printf.eprintf "regress --update: %s not found; generate it first\n" file;
           exit 1
         end;
-        copy_file file (Filename.concat baseline_dir file);
+        Simkit.Export.write_file
+          (Filename.concat baseline_dir file)
+          (In_channel.with_open_bin file In_channel.input_all);
         Printf.printf "baseline updated: %s\n" (Filename.concat baseline_dir file))
       pairs
   end
   else begin
     let failed = ref 0 in
     List.iter
-      (fun (file, extract) ->
+      (fun (file, table) ->
         let baseline_path = Filename.concat baseline_dir file in
         let load path =
           match Simkit.Json.of_file path with
@@ -834,9 +824,7 @@ let run_regress ~baseline_dir ~update ~pairs =
           exit 1
         end;
         let comparisons =
-          Eval.Regression.compare_metrics
-            ~baseline:(extract (load baseline_path))
-            ~current:(extract (load file))
+          Eval.Regression.compare_docs table ~baseline:(load baseline_path) ~current:(load file)
         in
         Printf.printf "\n-- %s --\n" file;
         Eval.Regression.print comparisons;
@@ -939,17 +927,17 @@ let () =
   | "regress" :: onlys ->
       let pairs =
         match onlys with
-        | [] -> regress_pairs
+        | [] -> Eval.Bench_gates.all
         | _ ->
             List.iter
               (fun f ->
-                if not (List.mem_assoc f regress_pairs) then begin
+                if not (List.mem_assoc f Eval.Bench_gates.all) then begin
                   Printf.eprintf "regress: unknown bench file %S (known: %s)\n" f
-                    (String.concat " " (List.map fst regress_pairs));
+                    (String.concat " " (List.map fst Eval.Bench_gates.all));
                   exit 1
                 end)
               onlys;
-            List.filter (fun (file, _) -> List.mem file onlys) regress_pairs
+            List.filter (fun (file, _) -> List.mem file onlys) Eval.Bench_gates.all
       in
       run_regress ~baseline_dir ~update ~pairs
   | other ->

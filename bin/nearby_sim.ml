@@ -37,13 +37,40 @@ let slo_opt =
   in
   Arg.(value & opt_all string [] & info [ "slo" ] ~doc ~docv:"SPEC")
 
-let flight_out_opt =
-  let doc = "Dump the flight recorder (recent RPC/fault/cluster/SLO events) as JSONL to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "flight-out" ] ~doc ~docv:"FILE")
+(* --- Artifact sinks ------------------------------------------------------ *)
 
-let prom_out_opt =
-  let doc = "Write the metrics snapshot in Prometheus text exposition format to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "prom-out" ] ~doc ~docv:"FILE")
+type sinks = {
+  json_out : string option;
+  metrics_out : string option;
+  prom_out : string option;
+  flight_out : string option;
+  trace_out : string option;
+}
+
+let json_doc = "Also write the result as a JSON object to $(docv)."
+let prom_doc = "Write the metrics snapshot in Prometheus text exposition format to $(docv)."
+let flight_doc = "Dump the flight recorder (recent RPC/fault/cluster/SLO events) as JSONL to $(docv)."
+
+(* The artifact flags of one subcommand: each optional argument is that
+   flag's doc string; a flag given no doc is not declared and reads None. *)
+let sinks ?json ?metrics ?prom ?flight ?trace () =
+  let file name = function
+    | None -> Term.const None
+    | Some doc -> Arg.(value & opt (some string) None & info [ name ] ~doc ~docv:"FILE")
+  in
+  Term.(
+    const (fun json_out metrics_out prom_out flight_out trace_out ->
+        { json_out; metrics_out; prom_out; flight_out; trace_out })
+    $ file "json-out" json $ file "metrics-out" metrics $ file "prom-out" prom
+    $ file "flight-out" flight $ file "trace-out" trace)
+
+(* Write [contents ()] to [file] when its flag was given, and say so. *)
+let emit file what contents =
+  Option.iter
+    (fun file ->
+      Simkit.Export.write_file file (contents ());
+      Printf.printf "wrote %s to %s\n%!" what file)
+    file
 
 let parse_slos specs =
   List.fold_left
@@ -276,27 +303,20 @@ let resilience_cmd =
     let doc = "Exit with an error unless every join completes (CI smoke gate)." in
     Arg.(value & flag & info [ "require-complete" ] ~doc)
   in
-  let json_out_arg =
-    let doc = "Also write the result as a JSON object to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json-out" ] ~doc ~docv:"FILE")
+  let sinks_arg =
+    sinks ~json:json_doc
+      ~metrics:
+        "Write a JSON metrics snapshot (resilience / rpc / cluster / transport sections plus \
+         the windowed timeseries) to $(docv)."
+      ~prom:prom_doc ~flight:flight_doc
+      ~trace:
+        "Write the run's causal span trees (one root join span per peer, with RPC attempts, \
+         server-side registration and replication fan-out as children) as Chrome trace-event \
+         JSONL to $(docv).  Feed the file to $(b,nearby_sim trace) for a critical-path report."
+      ()
   in
-  let metrics_out_arg =
-    let doc =
-      "Write a JSON metrics snapshot (resilience / rpc / cluster / transport sections plus the \
-       windowed timeseries) to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~doc ~docv:"FILE")
-  in
-  let trace_out_arg =
-    let doc =
-      "Write the run's causal span trees (one root join span per peer, with RPC attempts, \
-       server-side registration and replication fan-out as children) as Chrome trace-event \
-       JSONL to $(docv).  Feed the file to $(b,nearby_sim trace) for a critical-path report."
-    in
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~doc ~docv:"FILE")
-  in
-  let run quick seed routers peers k scenario replicas loss require_complete json_out slos
-      audit_rate flight_out metrics_out prom_out trace_out =
+  let run quick seed routers peers k scenario replicas loss require_complete slos audit_rate
+      out =
     match parse_slos slos with
     | Error e -> `Error (false, e)
     | Ok slos -> (
@@ -311,7 +331,7 @@ let resilience_cmd =
           { config with Eval.Resilience_exp.scenario; replicas; loss; slos; audit_rate }
         in
         let spans =
-          match trace_out with Some _ -> Simkit.Span.buffer () | None -> Simkit.Span.noop
+          match out.trace_out with Some _ -> Simkit.Span.buffer () | None -> Simkit.Span.noop
         in
         match Eval.Resilience_exp.run_instrumented ~spans config with
         | result, artifacts ->
@@ -319,14 +339,8 @@ let resilience_cmd =
             List.iter
               (fun st -> print_endline ("SLO " ^ Simkit.Slo.status_line st))
               artifacts.Eval.Resilience_exp.slo_statuses;
-            (match json_out with
-            | Some file ->
-                let out = open_out file in
-                output_string out (Eval.Resilience_exp.result_json result);
-                output_char out '\n';
-                close_out out;
-                Printf.printf "wrote %s\n%!" file
-            | None -> ());
+            emit out.json_out "result JSON" (fun () ->
+                Simkit.Json.to_string (Eval.Resilience_exp.result_json result) ^ "\n");
             let sections =
               [
                 ("resilience", artifacts.Eval.Resilience_exp.exp_trace);
@@ -340,8 +354,7 @@ let resilience_cmd =
               | Some t -> [ ("audit", t) ]
               | None -> []
             in
-            (match metrics_out with
-            | Some file ->
+            emit out.metrics_out "metrics snapshot" (fun () ->
                 let meta =
                   Simkit.Export.capture_meta ~seed:config.Eval.Resilience_exp.seed
                     ~extra:
@@ -351,30 +364,17 @@ let resilience_cmd =
                       ]
                     ()
                 in
-                Simkit.Export.write_file file
-                  (Simkit.Export.metrics_json ~meta
-                     ~timeseries:[ ("resilience", artifacts.Eval.Resilience_exp.timeseries) ]
-                     sections);
-                Printf.printf "wrote metrics snapshot to %s\n%!" file
-            | None -> ());
-            (match prom_out with
-            | Some file ->
-                Simkit.Export.write_file file (Simkit.Export.prometheus sections);
-                Printf.printf "wrote Prometheus exposition to %s\n%!" file
-            | None -> ());
-            (match flight_out with
-            | Some file ->
-                Simkit.Flight_recorder.write artifacts.Eval.Resilience_exp.recorder file;
-                Printf.printf "wrote %d flight-recorder events to %s\n%!"
-                  (Simkit.Flight_recorder.count artifacts.Eval.Resilience_exp.recorder)
-                  file
-            | None -> ());
-            (match trace_out with
-            | Some file ->
-                Simkit.Span.write_jsonl [ spans ] file;
-                Printf.printf "wrote %d span events to %s\n%!" (Simkit.Span.event_count spans)
-                  file
-            | None -> ());
+                Simkit.Export.metrics_json ~meta
+                  ~timeseries:[ ("resilience", artifacts.Eval.Resilience_exp.timeseries) ]
+                  sections);
+            emit out.prom_out "Prometheus exposition" (fun () -> Simkit.Export.prometheus sections);
+            let recorder = artifacts.Eval.Resilience_exp.recorder in
+            emit out.flight_out
+              (Printf.sprintf "%d flight-recorder events" (Simkit.Flight_recorder.count recorder))
+              (fun () -> Simkit.Flight_recorder.to_jsonl recorder);
+            emit out.trace_out
+              (Printf.sprintf "%d span events" (Simkit.Span.event_count spans))
+              (fun () -> Simkit.Span.to_jsonl spans);
             if require_complete && result.completed < result.joins then
               `Error
                 ( false,
@@ -392,8 +392,7 @@ let resilience_cmd =
     Term.(
       ret
         (const run $ quick_flag $ seed_opt $ routers_opt $ peers_opt $ k_opt $ scenario_arg
-       $ replicas_arg $ loss_arg $ require_complete_arg $ json_out_arg $ slo_opt
-       $ audit_rate_opt $ flight_out_opt $ metrics_out_arg $ prom_out_opt $ trace_out_arg))
+       $ replicas_arg $ loss_arg $ require_complete_arg $ slo_opt $ audit_rate_opt $ sinks_arg))
 
 let load_cmd =
   let arrival_arg =
@@ -469,16 +468,12 @@ let load_cmd =
     in
     Arg.(value & opt float 0.0 & info [ "mobility" ] ~doc ~docv:"F")
   in
-  let json_out_arg =
-    let doc = "Also write the result as a JSON object to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "json-out" ] ~doc ~docv:"FILE")
-  in
-  let metrics_out_arg =
-    let doc =
-      "Write a JSON metrics snapshot (experiment / server sections, the admission queue's \
-       labeled series and the windowed timeseries) to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~doc ~docv:"FILE")
+  let sinks_arg =
+    sinks ~json:json_doc
+      ~metrics:
+        "Write a JSON metrics snapshot (experiment / server sections, the admission queue's \
+         labeled series and the windowed timeseries) to $(docv)."
+      ~prom:prom_doc ~flight:flight_doc ()
   in
   let require_complete_arg =
     let doc = "Exit with an error unless every admitted join completes (CI smoke gate)." in
@@ -486,7 +481,7 @@ let load_cmd =
   in
   let run quick seed routers k arrival rate spike_rate spike_at spike_len amplitude period
       duration service_rate queue_cap batch policy deadline_ms wait_budget_ms slo_budget_ms
-      session_mean_ms mobility require_complete json_out flight_out metrics_out prom_out =
+      session_mean_ms mobility require_complete out =
     let config = if quick then Eval.Load_exp.quick_config else Eval.Load_exp.default_config in
     let config = match seed with Some s -> { config with Eval.Load_exp.seed = s } | None -> config in
     let config = override routers (fun c v -> { c with Eval.Load_exp.routers = v }) config in
@@ -551,50 +546,32 @@ let load_cmd =
         match Eval.Load_exp.run_instrumented config with
         | result, artifacts ->
             Eval.Load_exp.print result;
-            (match json_out with
-            | Some file ->
-                Simkit.Export.write_file file (Eval.Load_exp.result_json result ^ "\n");
-                Printf.printf "wrote %s\n%!" file
-            | None -> ());
+            emit out.json_out "result JSON" (fun () ->
+                Simkit.Json.to_string (Eval.Load_exp.result_json result) ^ "\n");
             let sections =
               [
                 ("load", artifacts.Eval.Load_exp.exp_trace);
                 ("server", artifacts.Eval.Load_exp.server_trace);
               ]
             in
-            (match metrics_out with
-            | Some file ->
+            emit out.metrics_out "metrics snapshot" (fun () ->
                 let meta =
                   Simkit.Export.capture_meta ~seed:config.Eval.Load_exp.seed
-                    ~extra:
-                      [
-                        ("arrival", Simkit.Workload.describe arrival);
-                        ("policy", policy);
-                      ]
+                    ~extra:[ ("arrival", Simkit.Workload.describe arrival); ("policy", policy) ]
                     ()
                 in
-                Simkit.Export.write_file file
-                  (Simkit.Export.metrics_json ~meta
-                     ~timeseries:[ ("load", artifacts.Eval.Load_exp.timeseries) ]
-                     ~labeled:[ ("admission", artifacts.Eval.Load_exp.metrics) ]
-                     sections);
-                Printf.printf "wrote metrics snapshot to %s\n%!" file
-            | None -> ());
-            (match prom_out with
-            | Some file ->
-                Simkit.Export.write_file file
-                  (Simkit.Export.prometheus sections
-                  ^ Simkit.Export.prometheus_labeled
-                      [ ("admission", artifacts.Eval.Load_exp.metrics) ]);
-                Printf.printf "wrote Prometheus exposition to %s\n%!" file
-            | None -> ());
-            (match flight_out with
-            | Some file ->
-                Simkit.Flight_recorder.write artifacts.Eval.Load_exp.recorder file;
-                Printf.printf "wrote %d flight-recorder events to %s\n%!"
-                  (Simkit.Flight_recorder.count artifacts.Eval.Load_exp.recorder)
-                  file
-            | None -> ());
+                Simkit.Export.metrics_json ~meta
+                  ~timeseries:[ ("load", artifacts.Eval.Load_exp.timeseries) ]
+                  ~labeled:[ ("admission", artifacts.Eval.Load_exp.metrics) ]
+                  sections);
+            emit out.prom_out "Prometheus exposition" (fun () ->
+                Simkit.Export.prometheus sections
+                ^ Simkit.Export.prometheus_labeled
+                    [ ("admission", artifacts.Eval.Load_exp.metrics) ]);
+            let recorder = artifacts.Eval.Load_exp.recorder in
+            emit out.flight_out
+              (Printf.sprintf "%d flight-recorder events" (Simkit.Flight_recorder.count recorder))
+              (fun () -> Simkit.Flight_recorder.to_jsonl recorder);
             if require_complete && result.Eval.Load_exp.completed < result.Eval.Load_exp.admitted
             then
               `Error
@@ -616,7 +593,7 @@ let load_cmd =
        $ spike_rate_arg $ spike_at_arg $ spike_len_arg $ amplitude_arg $ period_arg
        $ duration_arg $ service_rate_arg $ queue_cap_arg $ batch_arg $ policy_arg
        $ deadline_arg $ wait_budget_arg $ slo_budget_arg $ session_arg $ mobility_arg
-       $ require_complete_arg $ json_out_arg $ flight_out_opt $ metrics_out_arg $ prom_out_opt))
+       $ require_complete_arg $ sinks_arg))
 
 let registry_cmd =
   let backend_arg =
@@ -626,22 +603,18 @@ let registry_cmd =
     in
     Arg.(value & opt string "all" & info [ "backend" ] ~doc ~docv:"BACKEND")
   in
-  let trace_out_arg =
-    let doc =
-      "Write structured join/query spans as Chrome trace-event JSONL (one event per line) to \
-       $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace-out" ] ~doc ~docv:"FILE")
+  let sinks_arg =
+    sinks
+      ~metrics:
+        "Write a JSON metrics snapshot (counters plus mean/CI and p50/p90/p99 per stat stream, \
+         including per-backend registry insert/query latency) to $(docv)."
+      ~prom:prom_doc ~flight:flight_doc
+      ~trace:
+        "Write structured join/query spans as Chrome trace-event JSONL (one event per line) to \
+         $(docv)."
+      ()
   in
-  let metrics_out_arg =
-    let doc =
-      "Write a JSON metrics snapshot (counters plus mean/CI and p50/p90/p99 per stat stream, \
-       including per-backend registry insert/query latency) to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~doc ~docv:"FILE")
-  in
-  let run quick seed routers peers k backend_spec trace_out metrics_out audit_rate slos
-      flight_out prom_out =
+  let run quick seed routers peers k backend_spec audit_rate slos out =
     match parse_slos slos with
     | Error e -> `Error (false, e)
     | Ok slos -> (
@@ -709,12 +682,12 @@ let registry_cmd =
           List.mapi
             (fun idx spec ->
               let spans =
-                match trace_out with
+                match out.trace_out with
                 | Some _ -> Simkit.Span.buffer ~pid:(idx + 1) ()
                 | None -> Simkit.Span.noop
               in
               let metrics =
-                match (metrics_out, prom_out) with
+                match (out.metrics_out, out.prom_out) with
                 | None, None -> None
                 | _ -> Some (Simkit.Trace.create ())
               in
@@ -764,16 +737,14 @@ let registry_cmd =
         List.iter
           (fun (_, server, _, _, _, _, _) ->
             Printf.printf "introspect %s: %s\n" (Nearby.Server.backend_name server)
-              (Nearby.Registry_intf.introspection_json (Nearby.Server.introspection server)))
+              (Simkit.Json.to_string
+                 (Nearby.Registry_intf.introspection_json (Nearby.Server.introspection server))))
           runs;
-        (match trace_out with
-        | None -> ()
-        | Some file ->
-            let sinks = List.map (fun (_, _, _, spans, _, _, _) -> spans) runs in
-            Simkit.Span.write_jsonl sinks file;
-            Printf.printf "wrote %d span events to %s\n"
-              (List.fold_left (fun acc s -> acc + Simkit.Span.event_count s) 0 sinks)
-              file);
+        let span_sinks = List.map (fun (_, _, _, spans, _, _, _) -> spans) runs in
+        emit out.trace_out
+          (Printf.sprintf "%d span events"
+             (List.fold_left (fun acc s -> acc + Simkit.Span.event_count s) 0 span_sinks))
+          (fun () -> String.concat "" (List.map Simkit.Span.to_jsonl span_sinks));
         let sections =
           List.concat_map
             (fun (spec, server, _, _, metrics, _, auditor) ->
@@ -794,9 +765,7 @@ let registry_cmd =
               Option.map (fun t -> (Eval.Backends.to_string spec, t)) ts)
             runs
         in
-        (match metrics_out with
-        | None -> ()
-        | Some file ->
+        emit out.metrics_out "metrics snapshot" (fun () ->
             let meta =
               Simkit.Export.capture_meta ~seed
                 ~backends:(List.map Eval.Backends.to_string specs)
@@ -808,17 +777,11 @@ let registry_cmd =
                   ]
                 ()
             in
-            Simkit.Export.write_file file
-              (Simkit.Export.metrics_json ~meta ~timeseries sections);
-            Printf.printf "wrote metrics snapshot to %s\n" file);
-        (match prom_out with
-        | None -> ()
-        | Some file ->
-            Simkit.Export.write_file file (Simkit.Export.prometheus sections);
-            Printf.printf "wrote Prometheus exposition to %s\n" file);
+            Simkit.Export.metrics_json ~meta ~timeseries sections);
+        emit out.prom_out "Prometheus exposition" (fun () -> Simkit.Export.prometheus sections);
         (* SLO breaches here are report-only: the exit code gates answer
            consistency, not performance (that is [bench regress]'s job). *)
-        (if slos <> [] || flight_out <> None then begin
+        (if slos <> [] || out.flight_out <> None then begin
            let recorder = Simkit.Flight_recorder.create ~capacity:256 () in
            List.iter
              (fun (name, ts) ->
@@ -831,13 +794,9 @@ let registry_cmd =
                        ("breach: " ^ st.Simkit.Slo.spec.Simkit.Slo.name))
                  (Simkit.Slo.check ts slos))
              timeseries;
-           match flight_out with
-           | Some file ->
-               Simkit.Flight_recorder.write recorder file;
-               Printf.printf "wrote %d flight-recorder events to %s\n"
-                 (Simkit.Flight_recorder.count recorder)
-                 file
-           | None -> ()
+           emit out.flight_out
+             (Printf.sprintf "%d flight-recorder events" (Simkit.Flight_recorder.count recorder))
+             (fun () -> Simkit.Flight_recorder.to_jsonl recorder)
          end);
         let all_identical =
           List.for_all (fun row -> List.nth row 1 = "true") rows
@@ -853,8 +812,7 @@ let registry_cmd =
     Term.(
       ret
         (const run $ quick_flag $ seed_opt $ routers_opt $ peers_opt $ k_opt $ backend_arg
-       $ trace_out_arg $ metrics_out_arg $ audit_rate_opt $ slo_opt $ flight_out_opt
-       $ prom_out_opt))
+       $ audit_rate_opt $ slo_opt $ sinks_arg))
 
 let trace_cmd =
   let file_arg =
@@ -1074,15 +1032,14 @@ let top_cmd =
     let doc = "Shards per replica's registry backend." in
     Arg.(value & opt int 4 & info [ "shards" ] ~doc ~docv:"N")
   in
-  let metrics_out_arg =
-    let doc =
-      "Write the final JSON metrics snapshot (merged fleet section, labeled series, runtime \
-       profile, windowed timeseries) to $(docv)."
-    in
-    Arg.(value & opt (some string) None & info [ "metrics-out" ] ~doc ~docv:"FILE")
+  let sinks_arg =
+    sinks
+      ~metrics:
+        "Write the final JSON metrics snapshot (merged fleet section, labeled series, runtime \
+         profile, windowed timeseries) to $(docv)."
+      ~prom:prom_doc ()
   in
-  let run quick seed routers peers k replicas shards once frames refresh_ms slos metrics_out
-      prom_out =
+  let run quick seed routers peers k replicas shards once frames refresh_ms slos out =
     match parse_slos slos with
     | Error e -> `Error (false, e)
     | Ok slo_list -> (
@@ -1118,8 +1075,10 @@ let top_cmd =
                 if i < frames then Unix.sleepf (Float.max 0.0 refresh_ms /. 1000.0)
               done
             end;
-            (match metrics_out with
-            | Some file ->
+            let labeled () =
+              [ ("fleet", Eval.Fleet_obs.metrics t); ("replicas", Eval.Fleet_obs.scrape t) ]
+            in
+            emit out.metrics_out "metrics snapshot" (fun () ->
                 let meta =
                   Simkit.Export.capture_meta ~seed:config.Eval.Fleet_obs.seed
                     ~extra:
@@ -1128,28 +1087,12 @@ let top_cmd =
                       ]
                     ()
                 in
-                Simkit.Export.write_file file
-                  (Simkit.Export.metrics_json ~meta
-                     ~timeseries:[ ("fleet", Eval.Fleet_obs.timeseries t) ]
-                     ~labeled:
-                       [
-                         ("fleet", Eval.Fleet_obs.metrics t);
-                         ("replicas", Eval.Fleet_obs.scrape t);
-                       ]
-                     ~runtime:(Eval.Fleet_obs.runtime t)
-                     [ ("fleet", Eval.Fleet_obs.fleet_trace t) ]);
-                Printf.printf "wrote metrics snapshot to %s\n%!" file
-            | None -> ());
-            (match prom_out with
-            | Some file ->
-                Simkit.Export.write_file file
-                  (Simkit.Export.prometheus_labeled
-                     [
-                       ("fleet", Eval.Fleet_obs.metrics t);
-                       ("replicas", Eval.Fleet_obs.scrape t);
-                     ]);
-                Printf.printf "wrote Prometheus exposition to %s\n%!" file
-            | None -> ());
+                Simkit.Export.metrics_json ~meta
+                  ~timeseries:[ ("fleet", Eval.Fleet_obs.timeseries t) ]
+                  ~labeled:(labeled ()) ~runtime:(Eval.Fleet_obs.runtime t)
+                  [ ("fleet", Eval.Fleet_obs.fleet_trace t) ]);
+            emit out.prom_out "Prometheus exposition" (fun () ->
+                Simkit.Export.prometheus_labeled (labeled ()));
             exit_ok)
   in
   Cmd.v
@@ -1162,8 +1105,7 @@ let top_cmd =
     Term.(
       ret
         (const run $ quick_flag $ seed_opt $ routers_opt $ peers_opt $ k_opt $ replicas_arg
-       $ shards_arg $ once_arg $ frames_arg $ refresh_arg $ slo_opt $ metrics_out_arg
-       $ prom_out_opt))
+       $ shards_arg $ once_arg $ frames_arg $ refresh_arg $ slo_opt $ sinks_arg))
 
 let () =
   let info =

@@ -243,16 +243,89 @@ let run (config : config) =
 
 (* --- Rendering ---------------------------------------------------------- *)
 
-let result_json (r : result) =
-  let fl v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  Printf.sprintf
-    {|{"joins": %d, "completed": %d, "failed": %d, "completion_rate": %.4f, "digest_checks": %d, "checks_consistent": %d, "checks_divergent": %d, "divergence_episodes": %d, "convergence_episodes": %d, "max_divergent_replicas": %d, "detection_latency_ms": %s, "lag_count": %d, "lag_p50_ms": %s, "lag_max_ms": %s, "sync_rounds": %d, "sync_restores": %d, "sync_skipped": %d, "sync_bytes": %d, "snapshot_wire_bytes": %d, "report_age_p50_ms": %s, "report_age_p90_ms": %s, "report_age_p99_ms": %s, "report_age_oldest_ms": %s, "refresh_total": %d, "refresh_rate_hz": %s, "final_divergent": %d, "converged": %b}|}
-    r.joins r.completed r.failed r.completion_rate r.digest_checks r.checks_consistent
-    r.checks_divergent r.divergence_episodes r.convergence_episodes r.max_divergent_replicas
-    (fl r.detection_latency_ms) r.lag_count (fl r.lag_p50_ms) (fl r.lag_max_ms) r.sync_rounds
-    r.sync_restores r.sync_skipped r.sync_bytes r.snapshot_wire_bytes (fl r.report_age_p50_ms)
-    (fl r.report_age_p90_ms) (fl r.report_age_p99_ms) (fl r.report_age_oldest_ms)
-    r.refresh_total (fl r.refresh_rate_hz) r.final_divergent r.converged
+let result_json (r : result) : Simkit.Json.t =
+  let open Simkit.Json in
+  Obj
+    [
+      ("joins", Int r.joins);
+      ("completed", Int r.completed);
+      ("failed", Int r.failed);
+      ("completion_rate", Number r.completion_rate);
+      ("digest_checks", Int r.digest_checks);
+      ("checks_consistent", Int r.checks_consistent);
+      ("checks_divergent", Int r.checks_divergent);
+      ("divergence_episodes", Int r.divergence_episodes);
+      ("convergence_episodes", Int r.convergence_episodes);
+      ("max_divergent_replicas", Int r.max_divergent_replicas);
+      ("detection_latency_ms", Number r.detection_latency_ms);
+      ("lag_count", Int r.lag_count);
+      ("lag_p50_ms", Number r.lag_p50_ms);
+      ("lag_max_ms", Number r.lag_max_ms);
+      ("sync_rounds", Int r.sync_rounds);
+      ("sync_restores", Int r.sync_restores);
+      ("sync_skipped", Int r.sync_skipped);
+      ("sync_bytes", Int r.sync_bytes);
+      ("snapshot_wire_bytes", Int r.snapshot_wire_bytes);
+      ("report_age_p50_ms", Number r.report_age_p50_ms);
+      ("report_age_p90_ms", Number r.report_age_p90_ms);
+      ("report_age_p99_ms", Number r.report_age_p99_ms);
+      ("report_age_oldest_ms", Number r.report_age_oldest_ms);
+      ("refresh_total", Int r.refresh_total);
+      ("refresh_rate_hz", Number r.refresh_rate_hz);
+      ("final_divergent", Int r.final_divergent);
+      ("converged", Bool r.converged);
+    ]
+
+(* BENCH_health.json: completion and the poll-quantized latencies gate
+   with slack; the structural bits are exact — the loss burst produces at
+   least one detected divergence episode, every episode closes, the run
+   reconverges and the digest gate saves at least one transfer.  The
+   invariants are the run's own consistency checks, judged on the
+   current document alone. *)
+let gate : Regression.table =
+  let open Regression in
+  let h field doc = num [ "health"; field ] doc in
+  let invariant name holds = row Invariant ("health/invariant/" ^ name) (fun doc -> bit (holds doc)) in
+  rows
+    [
+      row Higher_better ~tolerance:0.02 "health/completion_rate" (h "completion_rate");
+      row Exact "health/divergence_detected" (fun doc -> bit (h "divergence_episodes" doc > 0.0));
+      row Exact "health/episodes_closed" (fun doc ->
+          bit (h "divergence_episodes" doc = h "convergence_episodes" doc));
+      row Exact "health/converged" (flag [ "health"; "converged" ]);
+      row Lower_better ~tolerance:0.5 "health/detection_latency_ms" (h "detection_latency_ms");
+      row Lower_better ~tolerance:0.5 "health/lag_p50_ms" (h "lag_p50_ms");
+      row Lower_better ~tolerance:0.25 "health/report_age_p50_ms" (h "report_age_p50_ms");
+      row Exact "health/digest_gate_saves_transfers" (fun doc -> bit (h "sync_skipped" doc > 0.0));
+      (* The burst really diverged the replicas and the polls saw it. *)
+      invariant "burst_diverged" (fun doc -> h "divergence_episodes" doc >= 1.0);
+      invariant "check_read_divergent" (fun doc -> h "checks_divergent" doc >= 1.0);
+      invariant "replicas_diverged" (fun doc -> h "max_divergent_replicas" doc >= 1.0);
+      (* Every episode closed: one convergence edge and one lag sample per
+         divergence edge, and nothing divergent at the horizon. *)
+      invariant "episodes_balanced" (fun doc ->
+          h "convergence_episodes" doc = h "divergence_episodes" doc);
+      invariant "lag_per_episode" (fun doc -> h "lag_count" doc = h "divergence_episodes" doc);
+      invariant "none_divergent_at_end" (fun doc -> h "final_divergent" doc = 0.0);
+      invariant "converged" (fun doc -> flag [ "health"; "converged" ] doc = 1.0);
+      (* Detection ran at poll granularity (null: nothing to detect). *)
+      invariant "detection_latency_sane" (fun doc ->
+          match Simkit.Json.path [ "health"; "detection_latency_ms" ] doc with
+          | Some Null -> true
+          | _ -> h "detection_latency_ms" doc >= 0.0);
+      (* The digest gate saved transfers while the fleet was in sync, and
+         real drift still paid for its snapshot restores. *)
+      invariant "gate_skipped_transfer" (fun doc -> h "sync_skipped" doc >= 1.0);
+      invariant "straggler_restored" (fun doc -> h "sync_restores" doc >= 1.0);
+      invariant "snapshot_bytes_on_wire" (fun doc -> h "snapshot_wire_bytes" doc > 0.0);
+      (* Staleness: reports aged, refreshes tracked, quantiles ordered. *)
+      invariant "refresh_per_join" (fun doc -> h "refresh_total" doc >= h "completed" doc);
+      invariant "report_age_ordered" (fun doc ->
+          0.0 <= h "report_age_p50_ms" doc
+          && h "report_age_p50_ms" doc <= h "report_age_p99_ms" doc
+          && h "report_age_p99_ms" doc <= h "report_age_oldest_ms" doc);
+      invariant "completion_at_least_99pct" (fun doc -> h "completion_rate" doc >= 0.99);
+    ]
 
 let print (r : result) =
   Printf.printf "Health: joins=%d completed=%d episodes=%d converged=%b\n" r.joins r.completed

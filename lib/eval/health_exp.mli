@@ -72,8 +72,18 @@ val run : config -> result
 (** @raise Invalid_argument on replicas < 2, loss outside (0, 1) or a
     non-positive check period. *)
 
-val result_json : result -> string
+val result_json : result -> Simkit.Json.t
 (** The result as one JSON object (the ["health"] section of
     BENCH_health.json). *)
+
+val gate : Regression.table
+(** The BENCH_health.json gate table: completion rate (0.02), divergence
+    detection latency and anti-entropy lag p50 (0.5 — poll-period
+    quantized), report age p50 (0.25) and the structural bits exact (the
+    loss burst causes at least one detected divergence episode, every
+    episode closes, the run reconverges, the digest gate saves at least
+    one snapshot transfer), plus invariants on the current run (episodes
+    balanced, nothing divergent at the horizon, restores paid for, report
+    age quantiles ordered, completion at least 0.99, …). *)
 
 val print : result -> unit

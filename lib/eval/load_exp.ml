@@ -290,22 +290,54 @@ let run_instrumented (config : config) =
 
 let run config = fst (run_instrumented config)
 
-let result_json (r : result) =
-  let fl v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  let shed =
-    String.concat ", "
-      (List.map
-         (fun (reason, n) -> Printf.sprintf "%s: %d" (Simkit.Json_str.quote reason) n)
-         r.shed)
-  in
-  Printf.sprintf
-    {|{"arrival": %s, "policy": %s, "peak_rate_per_s": %.1f, "service_rate_per_s": %.1f, "saturation": %.3f, "offered": %d, "submitted": %d, "admitted": %d, "completed": %d, "completion_rate": %.4f, "shed": {%s}, "shed_fraction": %.4f, "goodput_per_s": %.2f, "join_p50_ms": %s, "join_p99_ms": %s, "wait_p50_ms": %s, "wait_p99_ms": %s, "max_queue_depth": %d, "slo_budget_ms": %.1f, "p99_within_budget": %b, "slo_sheds_opened": %d, "leaves": %d, "handovers": %d, "final_peers": %d}|}
-    (Simkit.Json_str.quote r.arrival)
-    (Simkit.Json_str.quote r.policy)
-    r.peak_rate_per_s r.service_rate_per_s r.saturation r.offered r.submitted r.admitted
-    r.completed r.completion_rate shed r.shed_fraction r.goodput_per_s (fl r.join_p50_ms)
-    (fl r.join_p99_ms) (fl r.wait_p50_ms) (fl r.wait_p99_ms) r.max_queue_depth r.slo_budget_ms
-    r.p99_within_budget r.slo_sheds_opened r.leaves r.handovers r.final_peers
+let result_json (r : result) : Simkit.Json.t =
+  let open Simkit.Json in
+  Obj
+    [
+      ("arrival", String r.arrival);
+      ("policy", String r.policy);
+      ("peak_rate_per_s", Number r.peak_rate_per_s);
+      ("service_rate_per_s", Number r.service_rate_per_s);
+      ("saturation", Number r.saturation);
+      ("offered", Int r.offered);
+      ("submitted", Int r.submitted);
+      ("admitted", Int r.admitted);
+      ("completed", Int r.completed);
+      ("completion_rate", Number r.completion_rate);
+      ("shed", Obj (List.map (fun (reason, n) -> (reason, Int n)) r.shed));
+      ("shed_fraction", Number r.shed_fraction);
+      ("goodput_per_s", Number r.goodput_per_s);
+      ("join_p50_ms", Number r.join_p50_ms);
+      ("join_p99_ms", Number r.join_p99_ms);
+      ("wait_p50_ms", Number r.wait_p50_ms);
+      ("wait_p99_ms", Number r.wait_p99_ms);
+      ("max_queue_depth", Int r.max_queue_depth);
+      ("slo_budget_ms", Number r.slo_budget_ms);
+      ("p99_within_budget", Bool r.p99_within_budget);
+      ("slo_sheds_opened", Int r.slo_sheds_opened);
+      ("leaves", Int r.leaves);
+      ("handovers", Int r.handovers);
+      ("final_peers", Int r.final_peers);
+    ]
+
+(* BENCH_load.json: per arrival x policy, simulated-clock numbers gated
+   near-exactly, plus the headline bits. *)
+let gate : Regression.table =
+  let open Regression in
+  each [ "runs" ] ~key:(fields [ "arrival"; "policy" ]) (fun el this ->
+      let key = "load/" ^ fields [ "arrival"; "policy" ] el in
+      let n field doc = num [ field ] (this doc) in
+      [
+        row Higher_better ~tolerance:0.02 (key ^ "/completion_rate") (n "completion_rate");
+        row Lower_better ~tolerance:0.15 (key ^ "/join_p99_ms") (n "join_p99_ms");
+        row Higher_better ~tolerance:0.1 (key ^ "/goodput_per_s") (n "goodput_per_s");
+        row Lower_better ~tolerance:0.2 (key ^ "/shed_fraction") (n "shed_fraction");
+        (* The headline bit: under the flash crowd the SLO shedder holds
+           the admitted p99 inside the budget, drop-tail does not. *)
+        row Exact (key ^ "/p99_within_budget") (fun doc -> flag [ "p99_within_budget" ] (this doc));
+        row Exact (key ^ "/sheds_when_saturated") (fun doc ->
+            bit (n "saturation" doc > 1.0 = (n "shed_fraction" doc > 0.0)));
+      ])
 
 let print (r : result) =
   Printf.printf "Load: arrival=%s policy=%s saturation=%.2fx\n" r.arrival r.policy r.saturation;

@@ -102,5 +102,12 @@ type artifacts = {
 val run_instrumented : config -> result * artifacts
 val run : config -> result
 
-val result_json : result -> string
+val result_json : result -> Simkit.Json.t
+val gate : Regression.table
+(** The BENCH_load.json gate table, per arrival × policy: completion rate
+    (0.02), admitted-join p99 in simulated ms (0.15), goodput (0.1), shed
+    fraction (0.2), and the headline bits exact — [p99_within_budget]
+    (the SLO shedder holds the budget at 2x saturation, drop-tail does
+    not) and sheds-iff-saturated. *)
+
 val print : result -> unit

@@ -1,501 +1,119 @@
-(* The bench regression gate: compare freshly generated BENCH_*.json
-   documents against committed baselines and fail beyond tolerance.
+(* The bench regression gate: judge a freshly generated BENCH_*.json
+   document against its committed baseline with a declared gate table.
 
-   CI machines differ wildly in absolute speed, so raw ops/s or ns numbers
-   are useless as a gate.  Every timing metric is therefore normalized to
-   the tree backend measured in the same run — relative throughput and
-   relative tails cancel the machine — while the resilience numbers
-   (completion rate, simulated-ms latency) are deterministic in the seed
-   and compared almost exactly.  Booleans (answers_identical, consistent)
-   are exact.
+   A table expands against a document into rows.  A gated row reads one
+   number from both documents and fails beyond its tolerance in the bad
+   direction; an invariant row is checked on the current document only.
+   Rows are expanded from the baseline, so a metric present in the
+   baseline but missing from the current document fails: silently
+   dropping a measurement is how regressions hide.  New metrics in the
+   current document pass (they gate once the baseline is updated). *)
 
-   A metric present in the baseline but missing from the current document
-   fails the gate: silently dropping a measurement is how regressions
-   hide.  New metrics in the current document pass (they will gate once
-   the baseline is updated). *)
+type direction = Higher_better | Lower_better | Exact | Invariant
 
-type direction = Higher_better | Lower_better | Exact
-
-type metric = {
+type row = {
   name : string;
-  value : float;
+  value : Simkit.Json.t -> float;  (* raises [Failure] when the document lacks it *)
   direction : direction;
   tolerance : float;  (* allowed fractional drift in the bad direction *)
 }
 
+type table = Simkit.Json.t -> row list
+
 type comparison = {
   name : string;
-  baseline : float;
+  baseline : float option;  (* None: an invariant row *)
   current : float option;  (* None: metric disappeared *)
   ok : bool;
 }
 
-(* --- Extraction -------------------------------------------------------- *)
+(* --- Declaring tables --------------------------------------------------- *)
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-let num doc path_keys =
-  match Option.bind (Simkit.Json.path path_keys doc) Simkit.Json.to_float with
+let at keys doc =
+  match Simkit.Json.path keys doc with
   | Some v -> v
-  | None -> fail "missing number at %s" (String.concat "." path_keys)
+  | None -> fail "missing %s" (String.concat "." keys)
 
-let boolean doc path_keys =
-  match Option.bind (Simkit.Json.path path_keys doc) Simkit.Json.to_bool with
+let num keys doc =
+  match Simkit.Json.as_float (at keys doc) with
   | Some v -> v
-  | None -> fail "missing bool at %s" (String.concat "." path_keys)
+  | None -> fail "not a number: %s" (String.concat "." keys)
 
-let str doc path_keys =
-  match Option.bind (Simkit.Json.path path_keys doc) Simkit.Json.to_string with
-  | Some v -> v
-  | None -> fail "missing string at %s" (String.concat "." path_keys)
+let bit b = if b then 1.0 else 0.0
 
-let rows doc key =
-  match Option.bind (Simkit.Json.member key doc) Simkit.Json.to_list with
-  | Some rows -> rows
-  | None -> fail "missing array %S" key
+let flag keys doc =
+  match at keys doc with Bool b -> bit b | _ -> fail "not a bool: %s" (String.concat "." keys)
 
-(* The scaling sweep ("sweep" array of BENCH_registry.json): per sweep
-   point, exact structural gates (member counts, cross-backend answer
-   equivalence) plus machine-normalized ratios — sharded throughput
-   relative to the tree of the same run, and bytes/member relative to the
-   committed baseline (a pure allocation count, so it needs no
-   normalization, only slack for rounding).  Points above 100k members are
-   NOT gated: the CI job sweeps to 100k (`--sweep-max 100000`), and a
-   metric present in the baseline but missing from the current document
-   fails the gate by design. *)
-let sweep_metrics doc =
-  let rows =
-    match Option.bind (Simkit.Json.member "sweep" doc) Simkit.Json.to_list with
-    | Some rows -> rows
-    | None -> []
-  in
-  let rows =
-    List.filter (fun row -> int_of_float (num row [ "n" ]) <= 100_000) rows
-  in
-  let point row = int_of_float (num row [ "n" ]) in
-  let backend row = str row [ "backend" ] in
-  let tree_query_at n =
-    match
-      List.find_opt (fun row -> point row = n && backend row = "tree") rows
-    with
-    | Some row -> num row [ "query_ops_per_s" ]
-    | None -> fail "BENCH_registry sweep: no tree row at n=%d" n
-  in
-  List.concat_map
-    (fun row ->
-      let n = point row in
-      let b = backend row in
-      let key metric = Printf.sprintf "registry/sweep/%d/%s/%s" n b metric in
-      let structural =
-        [
-          {
-            name = key "answers_identical";
-            value = (if boolean row [ "answers_identical" ] then 1.0 else 0.0);
-            direction = Exact;
-            tolerance = 0.0;
-          };
-          {
-            name = key "members";
-            value = num row [ "members" ];
-            direction = Exact;
-            tolerance = 0.0;
-          };
-          {
-            name = key "bytes_per_member";
-            value = num row [ "approx_bytes" ] /. Float.max 1.0 (num row [ "members" ]);
-            direction = Lower_better;
-            tolerance = 0.5;
-          };
-        ]
-      in
-      if b = "tree" then structural
-      else
-        {
-          name = key "query_rel_tree";
-          value = num row [ "query_ops_per_s" ] /. tree_query_at n;
-          direction = Higher_better;
-          tolerance = 0.5;
-        }
-        :: structural)
-    rows
+let row ?(tolerance = 0.0) direction name value = { name; value; direction; tolerance }
+let rows rs : table = fun _ -> rs
+let concat tables : table = fun doc -> List.concat_map (fun t -> t doc) tables
 
-(* BENCH_registry.json: throughput relative to the tree backend of the same
-   run, plus the answers-identical invariant. *)
-let registry_metrics doc =
-  let backends = rows doc "backends" in
-  let name_of row = str row [ "backend" ] in
-  let tree =
-    match List.find_opt (fun row -> name_of row = "tree") backends with
-    | Some row -> row
-    | None -> fail "BENCH_registry: no tree backend row"
-  in
-  let tree_insert = num tree [ "insert_ops_per_s" ] in
-  let tree_query = num tree [ "query_ops_per_s" ] in
-  List.concat_map
-    (fun row ->
-      let b = name_of row in
-      let identical =
-        {
-          name = Printf.sprintf "registry/%s/answers_identical" b;
-          value = (if boolean row [ "answers_identical" ] then 1.0 else 0.0);
-          direction = Exact;
-          tolerance = 0.0;
-        }
-      in
-      if b = "tree" then [ identical ]
-      else
-        [
-          {
-            name = Printf.sprintf "registry/%s/insert_rel_tree" b;
-            value = num row [ "insert_ops_per_s" ] /. tree_insert;
-            direction = Higher_better;
-            tolerance = 0.6;
-          };
-          {
-            name = Printf.sprintf "registry/%s/query_rel_tree" b;
-            value = num row [ "query_ops_per_s" ] /. tree_query;
-            direction = Higher_better;
-            tolerance = 0.6;
-          };
-          identical;
-        ])
-    backends
-  @ sweep_metrics doc
+let elements array doc =
+  match Simkit.Json.path array doc with Some (List vs) -> vs | _ -> []
 
-(* The quantile sketch's measured fidelity on a deterministic sample set:
-   the error is a pure function of the seed, so it gates tightly — a
-   bucketing regression shows up as a bound violation, not noise. *)
-let obs_sketch_metrics doc =
-  [
-    {
-      name = "obs/sketch/within_bound";
-      value = (if boolean doc [ "sketch"; "within_bound" ] then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "obs/sketch/max_rel_err";
-      value = num doc [ "sketch"; "max_rel_err" ];
-      direction = Lower_better;
-      tolerance = 0.5;
-    };
-  ]
+(* The values of [names] in [el], "/"-joined: an element's identity. *)
+let fields names el =
+  String.concat "/"
+    (List.map
+       (fun k ->
+         match at [ k ] el with
+         | String s -> s
+         | Number v when Float.is_integer v -> string_of_int (int_of_float v)
+         | v -> Simkit.Json.to_string v)
+       names)
 
-(* The merged fleet view runs on the simulated clock, so completion and
-   the merged tail are deterministic in the seed (resilience-style
-   tolerances); the sketch-bound check is structural and gates exactly. *)
-let obs_fleet_metrics doc =
-  [
-    {
-      name = "obs/fleet/completion_rate";
-      value = num doc [ "fleet"; "completion_rate" ];
-      direction = Higher_better;
-      tolerance = 0.02;
-    };
-    {
-      name = "obs/fleet/merged_p99_ms";
-      value = num doc [ "fleet"; "merged_p99_ms" ];
-      direction = Lower_better;
-      tolerance = 0.15;
-    };
-    {
-      name = "obs/fleet/within_bound";
-      value = (if boolean doc [ "fleet"; "within_bound" ] then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "obs/fleet/shard_skew";
-      value = num doc [ "fleet"; "shard_skew" ];
-      direction = Lower_better;
-      tolerance = 0.5;
-    };
-  ]
+let element array ~key id doc =
+  match List.find_opt (fun el -> key el = id) (elements array doc) with
+  | Some el -> el
+  | None -> fail "no %s element %s" (String.concat "." array) id
 
-(* BENCH_obs.json: p99 latency relative to the tree backend.  Tails are the
-   noisiest numbers we gate on, hence the widest tolerance.  The exemplar
-   and introspection numbers, by contrast, are deterministic in the seed:
-   exemplars must be present (the trace-id tagging path stays wired up) and
-   the structural counts must not drift. *)
-let obs_metrics doc =
-  let backends = rows doc "backends" in
-  let name_of row = str row [ "backend" ] in
-  let tree =
-    match List.find_opt (fun row -> name_of row = "tree") backends with
-    | Some row -> row
-    | None -> fail "BENCH_obs: no tree backend row"
-  in
-  let tree_insert = num tree [ "insert_ns"; "p99" ] in
-  let tree_query = num tree [ "query_ns"; "p99" ] in
-  List.concat_map
-    (fun row ->
-      let b = name_of row in
-      let exact name value = { name; value; direction = Exact; tolerance = 0.0 } in
-      let structural =
-        [
-          exact
-            (Printf.sprintf "obs/%s/exemplars_present" b)
-            (if num row [ "insert_exemplars" ] > 0.0 && num row [ "query_exemplars" ] > 0.0
-             then 1.0
-             else 0.0);
-          exact
-            (Printf.sprintf "obs/%s/introspect_members" b)
-            (num row [ "introspect"; "members" ]);
-          exact
-            (Printf.sprintf "obs/%s/introspect_routers" b)
-            (num row [ "introspect"; "routers" ]);
-        ]
-      in
-      if b = "tree" then structural
-      else
-        [
-          {
-            name = Printf.sprintf "obs/%s/insert_p99_rel_tree" b;
-            value = num row [ "insert_ns"; "p99" ] /. tree_insert;
-            direction = Lower_better;
-            tolerance = 1.5;
-          };
-          {
-            name = Printf.sprintf "obs/%s/query_p99_rel_tree" b;
-            value = num row [ "query_ns"; "p99" ] /. tree_query;
-            direction = Lower_better;
-            tolerance = 1.5;
-          };
-        ]
-        @ structural)
-    backends
-  @ obs_sketch_metrics doc @ obs_fleet_metrics doc
+(* One group of rows per element of [array] (those satisfying [where]).
+   [build el this] sees the element of the document being expanded and
+   [this], which finds the element with the same [key] in whichever
+   document a row is read from.  An absent array expands to no rows. *)
+let each ?(where = fun _ -> true) array ~key build : table =
+ fun doc ->
+  elements array doc
+  |> List.filter where
+  |> List.concat_map (fun el -> build el (element array ~key (key el)))
 
-(* BENCH_resilience.json: deterministic in the seed (simulated clock, no
-   wall time), so the tolerances are tight. *)
-let resilience_metrics doc =
-  rows doc "runs"
-  |> List.concat_map (fun row ->
-         let key =
-           Printf.sprintf "resilience/%s/r%d" (str row [ "scenario" ])
-             (int_of_float (num row [ "replicas" ]))
-         in
-         [
-           {
-             name = key ^ "/completion_rate";
-             value = num row [ "completion_rate" ];
-             direction = Higher_better;
-             tolerance = 0.02;
-           };
-           {
-             name = key ^ "/join_p99_ms";
-             value = num row [ "join_p99_ms" ];
-             direction = Lower_better;
-             tolerance = 0.15;
-           };
-           {
-             name = key ^ "/consistent";
-             value = (if boolean row [ "consistent" ] then 1.0 else 0.0);
-             direction = Exact;
-             tolerance = 0.0;
-           };
-         ])
+(* --- Judging ------------------------------------------------------------ *)
 
-let load_metrics doc =
-  rows doc "runs"
-  |> List.concat_map (fun row ->
-         let key =
-           Printf.sprintf "load/%s/%s" (str row [ "arrival" ]) (str row [ "policy" ])
-         in
-         [
-           {
-             name = key ^ "/completion_rate";
-             value = num row [ "completion_rate" ];
-             direction = Higher_better;
-             tolerance = 0.02;
-           };
-           {
-             name = key ^ "/join_p99_ms";
-             value = num row [ "join_p99_ms" ];
-             direction = Lower_better;
-             tolerance = 0.15;
-           };
-           {
-             name = key ^ "/goodput_per_s";
-             value = num row [ "goodput_per_s" ];
-             direction = Higher_better;
-             tolerance = 0.1;
-           };
-           {
-             name = key ^ "/shed_fraction";
-             value = num row [ "shed_fraction" ];
-             direction = Lower_better;
-             tolerance = 0.2;
-           };
-           (* The headline bit: under the flash crowd the SLO shedder holds
-              the admitted p99 inside the budget, drop-tail does not. *)
-           {
-             name = key ^ "/p99_within_budget";
-             value = (if boolean row [ "p99_within_budget" ] then 1.0 else 0.0);
-             direction = Exact;
-             tolerance = 0.0;
-           };
-           {
-             name = key ^ "/sheds_when_saturated";
-             value =
-               (if num row [ "saturation" ] > 1.0 = (num row [ "shed_fraction" ] > 0.0) then 1.0
-                else 0.0);
-             direction = Exact;
-             tolerance = 0.0;
-           };
-         ])
-
-(* BENCH_wire.json: byte counts on the simulated wire are pure functions
-   of the seed — no wall clock anywhere — so everything gates tightly.
-   The structural bits (accounting reconciles, amplification equals the
-   replica count, batching actually saves upload bytes) are exact. *)
-let wire_metrics doc =
-  let w path = num doc ("wire" :: path) in
-  [
-    {
-      name = "wire/completion_rate";
-      value = w [ "completion_rate" ];
-      direction = Higher_better;
-      tolerance = 0.02;
-    };
-    {
-      name = "wire/bytes_per_join";
-      value = w [ "bytes_per_join" ];
-      direction = Lower_better;
-      tolerance = 0.1;
-    };
-    {
-      name = "wire/bytes_per_query";
-      value = w [ "bytes_per_query" ];
-      direction = Lower_better;
-      tolerance = 0.1;
-    };
-    {
-      name = "wire/replication_amplification";
-      value = w [ "replication_amplification" ];
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "wire/snapshot_bytes_per_join";
-      value = w [ "snapshot_bytes" ] /. Float.max 1.0 (w [ "joins" ]);
-      direction = Lower_better;
-      tolerance = 0.5;
-    };
-    {
-      name = "wire/batch_saving_ratio";
-      value = w [ "batch_saving_ratio" ];
-      direction = Higher_better;
-      tolerance = 0.05;
-    };
-    {
-      name = "wire/batch_saves_bytes";
-      value = (if w [ "batch_saving_ratio" ] > 1.0 then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "wire/accounted";
-      value = (if boolean doc [ "wire"; "accounted" ] then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-  ]
-
-let health_metrics doc =
-  let h path = num doc ("health" :: path) in
-  [
-    {
-      name = "health/completion_rate";
-      value = h [ "completion_rate" ];
-      direction = Higher_better;
-      tolerance = 0.02;
-    };
-    (* Structural: the loss burst must produce at least one detected
-       divergence episode, and every episode must close. *)
-    {
-      name = "health/divergence_detected";
-      value = (if h [ "divergence_episodes" ] > 0.0 then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "health/episodes_closed";
-      value =
-        (if h [ "divergence_episodes" ] = h [ "convergence_episodes" ] then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "health/converged";
-      value = (if boolean doc [ "health"; "converged" ] then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-    {
-      name = "health/detection_latency_ms";
-      value = h [ "detection_latency_ms" ];
-      direction = Lower_better;
-      tolerance = 0.5;
-    };
-    {
-      name = "health/lag_p50_ms";
-      value = h [ "lag_p50_ms" ];
-      direction = Lower_better;
-      tolerance = 0.5;
-    };
-    {
-      name = "health/report_age_p50_ms";
-      value = h [ "report_age_p50_ms" ];
-      direction = Lower_better;
-      tolerance = 0.25;
-    };
-    {
-      name = "health/digest_gate_saves_transfers";
-      value = (if h [ "sync_skipped" ] > 0.0 then 1.0 else 0.0);
-      direction = Exact;
-      tolerance = 0.0;
-    };
-  ]
-
-(* --- Comparison -------------------------------------------------------- *)
-
-let within (m : metric) ~baseline ~current =
-  match m.direction with
+let within (r : row) ~baseline current =
+  match r.direction with
   | Exact -> current = baseline
-  | Higher_better -> current >= baseline *. (1.0 -. m.tolerance)
-  | Lower_better -> current <= baseline *. (1.0 +. m.tolerance)
+  | Higher_better -> current >= baseline *. (1.0 -. r.tolerance)
+  | Lower_better -> current <= baseline *. (1.0 +. r.tolerance)
+  | Invariant -> current = 1.0
 
-(* [baseline]/[current] are the same extractor applied to the two
-   documents; direction and tolerance are taken from the baseline side so
-   a tolerance edit gates from the commit that updates the baseline. *)
-let compare_metrics ~baseline ~current =
-  List.map
-    (fun (b : metric) ->
-      match List.find_opt (fun (c : metric) -> c.name = b.name) current with
-      | None -> { name = b.name; baseline = b.value; current = None; ok = false }
-      | Some c ->
-          {
-            name = b.name;
-            baseline = b.value;
-            current = Some c.value;
-            ok = within b ~baseline:b.value ~current:c.value;
-          })
-    baseline
+(* [baseline] is [None] for an invariant row: it has no baseline side. *)
+let judge (r : row) ?baseline current =
+  let current = try Some (r.value current) with Failure _ -> None in
+  let ok = Option.fold current ~none:false ~some:(within r ~baseline:(Option.value baseline ~default:1.0)) in
+  { name = r.name; baseline; current; ok }
+
+let split table doc = List.partition (fun (r : row) -> r.direction <> Invariant) (table doc)
+let gated table doc = fst (split table doc)
+let check_invariants table current = List.map (fun r -> judge r current) (snd (split table current))
+
+let compare_docs table ~baseline ~current =
+  List.map (fun (r : row) -> judge r ~baseline:(r.value baseline) current) (gated table baseline)
+  @ check_invariants table current
 
 let failures comparisons = List.filter (fun c -> not c.ok) comparisons
 
 let print comparisons =
+  let cell = function Some v -> Prelude.Table.float_cell ~decimals:4 v | None -> "-" in
   Prelude.Table.print
     ~header:[ "metric"; "baseline"; "current"; "status" ]
     (List.map
        (fun c ->
          [
            c.name;
-           Prelude.Table.float_cell ~decimals:4 c.baseline;
-           (match c.current with
-           | Some v -> Prelude.Table.float_cell ~decimals:4 v
-           | None -> "MISSING");
+           cell c.baseline;
+           (if c.current = None then "MISSING" else cell c.current);
            (if c.ok then "ok" else "FAIL");
          ])
        comparisons)

@@ -1,66 +1,96 @@
-(** Bench regression gate: BENCH_*.json vs committed baselines.
+(** Bench regression gate: BENCH_*.json vs committed baselines, judged by
+    declared gate tables.
 
-    Extracts machine-robust metrics from the three bench artifacts —
-    timing normalized to the tree backend measured in the same run,
-    deterministic simulated-time resilience numbers near-exact, booleans
-    exact — and compares a current document against a baseline.  A metric
-    present in the baseline but missing from the current document fails.
-    Driven by [bench/main.exe -- regress]; wired as a CI job. *)
+    Each BENCH document's table sits next to its emitter
+    ({!Load_exp.gate}, {!Wire_exp.gate}, {!Health_exp.gate},
+    {!Resilience_exp.gate}; the registry and obs tables in {!Bench_gates}).
+    A table expands against a document into {!row}s: gated rows compare
+    the current document's number with the baseline's — timing normalized
+    to the tree backend measured in the same run, deterministic
+    simulated-time numbers near-exact, booleans exact — and invariant rows
+    must hold on the current document alone.  A gated metric present in
+    the baseline but missing from the current document fails.  Driven by
+    [bench/main.exe -- regress]; wired as a CI job. *)
 
 type direction =
   | Higher_better  (** Fails when current < baseline × (1 − tolerance). *)
   | Lower_better  (** Fails when current > baseline × (1 + tolerance). *)
   | Exact
+  | Invariant  (** Checked on the current document only: must read 1. *)
 
-type metric = { name : string; value : float; direction : direction; tolerance : float }
+type row = {
+  name : string;
+  value : Simkit.Json.t -> float;
+      (** Reads the metric from a whole document.
+          @raise Failure when the document lacks it. *)
+  direction : direction;
+  tolerance : float;  (** Allowed fractional drift in the bad direction. *)
+}
+
+type table = Simkit.Json.t -> row list
+(** Expands against a document: per-element rows are named after the
+    elements that document holds. *)
 
 type comparison = {
   name : string;
-  baseline : float;
+  baseline : float option;  (** [None] for an invariant row. *)
   current : float option;  (** [None]: the metric disappeared — a failure. *)
   ok : bool;
 }
 
-val registry_metrics : Simkit.Json.t -> metric list
-(** From BENCH_registry.json: per-backend insert/query throughput relative
-    to tree (tolerance 0.6) and the answers-identical invariant (exact).
-    @raise Failure on a malformed document. *)
+(** {1 Declaring tables} *)
 
-val obs_metrics : Simkit.Json.t -> metric list
-(** From BENCH_obs.json: per-backend insert/query p99 relative to tree
-    (tolerance 1.5 — tails are noisy).  @raise Failure when malformed. *)
+val row : ?tolerance:float -> direction -> string -> (Simkit.Json.t -> float) -> row
+(** Tolerance defaults to 0. *)
 
-val resilience_metrics : Simkit.Json.t -> metric list
-(** From BENCH_resilience.json: per scenario × replica-count completion
-    rate (0.02), join p99 in simulated ms (0.15) and the consistency bit
-    (exact).  @raise Failure when malformed. *)
+val rows : row list -> table
+(** A fixed set of rows. *)
 
-val load_metrics : Simkit.Json.t -> metric list
-(** From BENCH_load.json: per arrival × policy completion rate (0.02),
-    admitted-join p99 in simulated ms (0.15), goodput (0.1), shed
-    fraction (0.2), and the headline bits exact — [p99_within_budget]
-    (the SLO shedder holds the budget at 2x saturation, drop-tail does
-    not) and sheds-iff-saturated.  @raise Failure when malformed. *)
+val concat : table list -> table
 
-val wire_metrics : Simkit.Json.t -> metric list
-(** From BENCH_wire.json: bytes/join and bytes/query (0.1 — deterministic
-    simulated byte counts), snapshot repair bytes per join (0.5), the
-    batching saving ratio (0.05), and the structural bits exact —
-    accounting reconciles ([accounted]), replication amplification equals
-    the committed value, batching saves upload bytes.
-    @raise Failure when malformed. *)
+val num : string list -> Simkit.Json.t -> float
+(** The number at a path.  @raise Failure when absent or not a number. *)
 
-val health_metrics : Simkit.Json.t -> metric list
-(** From BENCH_health.json: completion rate (0.02), divergence detection
-    latency and anti-entropy lag p50 (0.5 — poll-period quantized), report
-    age p50 (0.25), and the structural bits exact — the loss burst causes
-    at least one detected divergence episode, every episode closes, the
-    run reconverges, and the digest gate saves at least one snapshot
-    transfer.  @raise Failure when malformed. *)
+val flag : string list -> Simkit.Json.t -> float
+(** The bool at a path as 1 / 0.  @raise Failure when absent. *)
 
-val compare_metrics : baseline:metric list -> current:metric list -> comparison list
-(** One comparison per baseline metric; thresholds come from the baseline
-    side. *)
+val bit : bool -> float
+(** [true] is 1, [false] 0: derived structural bits. *)
+
+val elements : string list -> Simkit.Json.t -> Simkit.Json.t list
+(** The array at a path; [[]] when absent. *)
+
+val fields : string list -> Simkit.Json.t -> string
+(** The named fields of an array element, ["/"]-joined (strings as is,
+    integral numbers without a fraction): an element's identity. *)
+
+val element : string list -> key:(Simkit.Json.t -> string) -> string -> Simkit.Json.t -> Simkit.Json.t
+(** [element array ~key id doc] is the element of [array] whose [key]
+    is [id].  @raise Failure when there is none. *)
+
+val each :
+  ?where:(Simkit.Json.t -> bool) ->
+  string list ->
+  key:(Simkit.Json.t -> string) ->
+  (Simkit.Json.t -> (Simkit.Json.t -> Simkit.Json.t) -> row list) ->
+  table
+(** [each array ~key build]: one group of rows per element of [array]
+    that satisfies [where].  [build el this] gets the element as it
+    appears in the expanded document, and [this], the lookup of the
+    element with the same [key] in the document a row reads.  An absent
+    array expands to no rows. *)
+
+(** {1 Judging} *)
+
+val gated : table -> Simkit.Json.t -> row list
+(** The table's non-invariant rows, expanded against a document. *)
+
+val check_invariants : table -> Simkit.Json.t -> comparison list
+(** One comparison per invariant row of the current document. *)
+
+val compare_docs : table -> baseline:Simkit.Json.t -> current:Simkit.Json.t -> comparison list
+(** One comparison per gated row of the baseline (thresholds from the
+    table), then {!check_invariants} on the current document. *)
 
 val failures : comparison list -> comparison list
 val print : comparison list -> unit

@@ -305,18 +305,49 @@ let run_instrumented ?(spans = Simkit.Span.noop) (config : config) =
 
 let run config = fst (run_instrumented config)
 
-let result_json (r : result) =
-  let fl v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
-  Printf.sprintf
-    {|{"scenario": %s, "replicas": %d, "loss": %.3f, "joins": %d, "completed": %d, "failed": %d, "completion_rate": %.4f, "join_p50_ms": %s, "join_p99_ms": %s, "rpc_attempts": %d, "rpc_retries": %d, "rpc_timeouts": %d, "rpc_gave_up": %d, "suspicions": %d, "sync_rounds": %d, "recovery_ms": %s, "consistent": %b, "live_peer_counts": [%s], "dropped_loss": %d, "dropped_unreachable": %d, "dropped_partition": %d, "slo_breaches": [%s]}|}
-    (Simkit.Json_str.quote r.scenario) r.replicas r.loss r.joins r.completed r.failed
-    r.completion_rate (fl r.join_p50_ms) (fl r.join_p99_ms) r.rpc_attempts r.rpc_retries
-    r.rpc_timeouts r.rpc_gave_up r.suspicions r.sync_rounds
-    (match r.recovery_ms with Some v -> Printf.sprintf "%.1f" v | None -> "null")
-    r.consistent
-    (String.concat ", " (List.map string_of_int r.live_peer_counts))
-    r.dropped_loss r.dropped_unreachable r.dropped_partition
-    (String.concat ", " (List.map Simkit.Json_str.quote r.slo_breaches))
+let result_json (r : result) : Simkit.Json.t =
+  let open Simkit.Json in
+  Obj
+    [
+      ("scenario", String r.scenario);
+      ("replicas", Int r.replicas);
+      ("loss", Number r.loss);
+      ("joins", Int r.joins);
+      ("completed", Int r.completed);
+      ("failed", Int r.failed);
+      ("completion_rate", Number r.completion_rate);
+      ("join_p50_ms", Number r.join_p50_ms);
+      ("join_p99_ms", Number r.join_p99_ms);
+      ("rpc_attempts", Int r.rpc_attempts);
+      ("rpc_retries", Int r.rpc_retries);
+      ("rpc_timeouts", Int r.rpc_timeouts);
+      ("rpc_gave_up", Int r.rpc_gave_up);
+      ("suspicions", Int r.suspicions);
+      ("sync_rounds", Int r.sync_rounds);
+      ("recovery_ms", option (fun v -> Number v) r.recovery_ms);
+      ("consistent", Bool r.consistent);
+      ("live_peer_counts", List (List.map (fun i -> Int i) r.live_peer_counts));
+      ("dropped_loss", Int r.dropped_loss);
+      ("dropped_unreachable", Int r.dropped_unreachable);
+      ("dropped_partition", Int r.dropped_partition);
+      ("slo_breaches", List (List.map (fun s -> String s) r.slo_breaches));
+    ]
+
+(* BENCH_resilience.json: deterministic in the seed (simulated clock, no
+   wall time), so the tolerances are tight. *)
+let gate : Regression.table =
+  let open Regression in
+  each [ "runs" ] ~key:(fields [ "scenario"; "replicas" ]) (fun el this ->
+      let key =
+        Printf.sprintf "resilience/%s/r%s" (fields [ "scenario" ] el) (fields [ "replicas" ] el)
+      in
+      [
+        row Higher_better ~tolerance:0.02 (key ^ "/completion_rate") (fun doc ->
+            num [ "completion_rate" ] (this doc));
+        row Lower_better ~tolerance:0.15 (key ^ "/join_p99_ms") (fun doc ->
+            num [ "join_p99_ms" ] (this doc));
+        row Exact (key ^ "/consistent") (fun doc -> flag [ "consistent" ] (this doc));
+      ])
 
 let print (r : result) =
   Printf.printf "Resilience: scenario=%s replicas=%d loss=%.2f\n" r.scenario r.replicas r.loss;

@@ -101,7 +101,12 @@ val run_instrumented : ?spans:Simkit.Span.sink -> config -> result * artifacts
     (tail exemplars) and SLO breach events carry an [exemplar_trace_id]
     pointing at the worst-bucket join seen so far. *)
 
-val result_json : result -> string
+val result_json : result -> Simkit.Json.t
 (** One JSON object (no trailing newline). *)
+
+val gate : Regression.table
+(** The BENCH_resilience.json gate table, per scenario × replica count:
+    completion rate (0.02), join p99 in simulated ms (0.15) and the
+    consistency bit (exact). *)
 
 val print : result -> unit

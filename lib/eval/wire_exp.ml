@@ -269,27 +269,102 @@ let run (config : config) =
 
 (* --- Rendering ---------------------------------------------------------- *)
 
-let result_json (r : result) =
-  let fl v = if Float.is_nan v then "null" else Printf.sprintf "%.3f" v in
+let result_json (r : result) : Simkit.Json.t =
+  let open Simkit.Json in
   let kind_json (k : kind_row) =
-    Printf.sprintf {|{"kind": %s, "bytes": %d, "msgs": %d}|} (Simkit.Json_str.quote k.kind)
-      k.bytes k.msgs
+    Obj [ ("kind", String k.kind); ("bytes", Int k.bytes); ("msgs", Int k.msgs) ]
   in
   let talker_json (t : Simkit.Transport.talker) =
-    Printf.sprintf {|{"node": %d, "sent_bytes": %d, "recv_bytes": %d, "sent_msgs": %d, "recv_msgs": %d}|}
-      t.node t.sent_bytes t.recv_bytes t.sent_msgs t.recv_msgs
+    Obj
+      [
+        ("node", Int t.node);
+        ("sent_bytes", Int t.sent_bytes);
+        ("recv_bytes", Int t.recv_bytes);
+        ("sent_msgs", Int t.sent_msgs);
+        ("recv_msgs", Int t.recv_msgs);
+      ]
   in
-  Printf.sprintf
-    {|{"joins": %d, "completed": %d, "failed": %d, "completion_rate": %.4f, "bytes_sent": %d, "bytes_dropped": %d, "messages": %d, "bytes_per_join": %s, "bytes_per_query": %s, "replication_amplification": %s, "snapshot_bytes": %d, "retry_bytes": %d, "fd_probe_bytes": %d, "dropped_loss_bytes": %d, "dropped_unreachable_bytes": %d, "dropped_partition_bytes": %d, "kinds": [%s], "top_talkers": [%s], "singleton_report_bytes": %d, "batch_joins": %d, "batch_completed": %d, "batch_report_bytes": %d, "batch_saving_ratio": %s, "batch_bytes_per_join": %s, "accounted": %b}|}
-    r.joins r.completed r.failed r.completion_rate r.bytes_sent r.bytes_dropped r.messages
-    (fl r.bytes_per_join) (fl r.bytes_per_query)
-    (fl r.replication_amplification)
-    r.snapshot_bytes r.retry_bytes r.fd_probe_bytes r.dropped_loss_bytes
-    r.dropped_unreachable_bytes r.dropped_partition_bytes
-    (String.concat ", " (List.map kind_json r.kinds))
-    (String.concat ", " (List.map talker_json r.top_talkers))
-    r.singleton_report_bytes r.batch_joins r.batch_completed r.batch_report_bytes
-    (fl r.batch_saving_ratio) (fl r.batch_bytes_per_join) r.accounted
+  Obj
+    [
+      ("joins", Int r.joins);
+      ("completed", Int r.completed);
+      ("failed", Int r.failed);
+      ("completion_rate", Number r.completion_rate);
+      ("bytes_sent", Int r.bytes_sent);
+      ("bytes_dropped", Int r.bytes_dropped);
+      ("messages", Int r.messages);
+      ("bytes_per_join", Number r.bytes_per_join);
+      ("bytes_per_query", Number r.bytes_per_query);
+      ("replication_amplification", Number r.replication_amplification);
+      ("snapshot_bytes", Int r.snapshot_bytes);
+      ("retry_bytes", Int r.retry_bytes);
+      ("fd_probe_bytes", Int r.fd_probe_bytes);
+      ("dropped_loss_bytes", Int r.dropped_loss_bytes);
+      ("dropped_unreachable_bytes", Int r.dropped_unreachable_bytes);
+      ("dropped_partition_bytes", Int r.dropped_partition_bytes);
+      ("kinds", List (List.map kind_json r.kinds));
+      ("top_talkers", List (List.map talker_json r.top_talkers));
+      ("singleton_report_bytes", Int r.singleton_report_bytes);
+      ("batch_joins", Int r.batch_joins);
+      ("batch_completed", Int r.batch_completed);
+      ("batch_report_bytes", Int r.batch_report_bytes);
+      ("batch_saving_ratio", Number r.batch_saving_ratio);
+      ("batch_bytes_per_join", Number r.batch_bytes_per_join);
+      ("accounted", Bool r.accounted);
+    ]
+
+(* BENCH_wire.json: byte counts on the simulated wire are pure functions
+   of the seed — no wall clock anywhere — so everything gates tightly.
+   The structural bits (accounting reconciles, amplification equals the
+   replica count, batching actually saves upload bytes) are exact.  The
+   invariants are the run's own consistency checks, judged on the
+   current document alone. *)
+let gate : Regression.table =
+  let open Regression in
+  let w field doc = num [ "wire"; field ] doc in
+  let kinds = elements [ "wire"; "kinds" ] in
+  let kind = element [ "wire"; "kinds" ] ~key:(fields [ "kind" ]) in
+  let invariant name holds = row Invariant ("wire/invariant/" ^ name) (fun doc -> bit (holds doc)) in
+  rows
+    ([
+       row Higher_better ~tolerance:0.02 "wire/completion_rate" (w "completion_rate");
+       row Lower_better ~tolerance:0.1 "wire/bytes_per_join" (w "bytes_per_join");
+       row Lower_better ~tolerance:0.1 "wire/bytes_per_query" (w "bytes_per_query");
+       row Exact "wire/replication_amplification" (w "replication_amplification");
+       row Lower_better ~tolerance:0.5 "wire/snapshot_bytes_per_join" (fun doc ->
+           w "snapshot_bytes" doc /. Float.max 1.0 (w "joins" doc));
+       row Higher_better ~tolerance:0.05 "wire/batch_saving_ratio" (w "batch_saving_ratio");
+       row Exact "wire/batch_saves_bytes" (fun doc -> bit (w "batch_saving_ratio" doc > 1.0));
+       row Exact "wire/accounted" (flag [ "wire"; "accounted" ]);
+     ]
+    (* Every kind the protocol speaks moved real bytes in one run: reports
+       and queries from the joins, replies back, retries and anti-entropy
+       snapshots from the loss burst, fd probes from the heartbeats. *)
+    @ List.map
+        (fun k -> invariant (k ^ "_bytes") (fun doc -> num [ "bytes" ] (kind k doc) > 0.0))
+        [ "path_report"; "query"; "reply"; "retry"; "snapshot"; "fd_probe" ]
+    @ [
+        (* Conservation: per-kind delivered bytes sum to the transport's
+           aggregate, per-reason dropped bytes to the dropped aggregate. *)
+        invariant "kind_bytes_sum_to_sent" (fun doc ->
+            List.fold_left (fun acc k -> acc +. num [ "bytes" ] k) 0.0 (kinds doc)
+            = w "bytes_sent" doc);
+        invariant "dropped_bytes_reconcile" (fun doc ->
+            w "dropped_loss_bytes" doc +. w "dropped_unreachable_bytes" doc
+            +. w "dropped_partition_bytes" doc
+            = w "bytes_dropped" doc);
+        invariant "accounted" (fun doc -> flag [ "wire"; "accounted" ] doc = 1.0);
+        invariant "loss_burst_dropped" (fun doc -> w "dropped_loss_bytes" doc > 0.0);
+        (* 3 replicas, every report fanned out verbatim to the other two. *)
+        invariant "amplification_is_3" (fun doc ->
+            Float.abs (w "replication_amplification" doc -. 3.0) < 1e-9);
+        (* The same peer set uploaded in Path_report_batch frames costs
+           fewer client bytes than one frame per report. *)
+        invariant "batch_beats_singleton" (fun doc ->
+            w "batch_report_bytes" doc < w "singleton_report_bytes" doc);
+        invariant "batch_saving_above_1" (fun doc -> w "batch_saving_ratio" doc > 1.0);
+        invariant "talkers_tallied" (fun doc -> elements [ "wire"; "top_talkers" ] doc <> []);
+      ])
 
 let print (r : result) =
   Printf.printf "Wire: joins=%d completed=%d accounted=%b\n" r.joins r.completed r.accounted;

@@ -81,8 +81,17 @@ val run : config -> result
 (** @raise Invalid_argument on replicas < 1, loss outside [0, 1) or
     batch < 1. *)
 
-val result_json : result -> string
+val result_json : result -> Simkit.Json.t
 (** The result as one JSON object (the ["wire"] section of
     BENCH_wire.json). *)
+
+val gate : Regression.table
+(** The BENCH_wire.json gate table: bytes/join and bytes/query (0.1 —
+    deterministic simulated byte counts), snapshot repair bytes per join
+    (0.5), the batching saving ratio (0.05), and the structural bits
+    exact — accounting reconciles, replication amplification equals the
+    committed value, batching saves upload bytes — plus invariants on the
+    current run (every message kind moved bytes, per-kind and per-reason
+    bytes sum to the aggregates, the loss burst dropped bytes, …). *)
 
 val print : result -> unit

@@ -130,22 +130,21 @@ let merge_introspections = function
       }
 
 let introspection_json i =
-  let open Simkit.Json_str in
-  obj
+  let open Simkit.Json in
+  Obj
     [
-      ("members", string_of_int i.members);
-      ("routers", string_of_int i.routers);
-      ("approx_bytes", string_of_int i.approx_bytes);
+      ("members", Int i.members);
+      ("routers", Int i.routers);
+      ("approx_bytes", Int i.approx_bytes);
       ( "occupancy_log2",
-        arr
+        List
           (List.map
-             (fun (b, c) -> Printf.sprintf "[%d, %d]" b c)
+             (fun (b, c) -> List [ Int b; Int c ])
              (Prelude.Histogram.to_assoc i.occupancy)) );
       ( "hot_routers",
-        arr
+        List
           (List.map
-             (fun (router, size) ->
-               obj [ ("router", string_of_int router); ("bucket_size", string_of_int size) ])
+             (fun (router, size) -> Obj [ ("router", Int router); ("bucket_size", Int size) ])
              i.hot_routers) );
     ]
 

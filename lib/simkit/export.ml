@@ -38,20 +38,17 @@ let capture_meta ?seed ?(backends = []) ?(extra = []) () =
 
 let meta_base_fields m =
   [
-    ("git_rev", Json_str.quote m.git_rev);
-    ("date_utc", Json_str.quote m.date_utc);
-    ("seed", (match m.seed with Some s -> string_of_int s | None -> "null"));
-    ("backends", "[" ^ String.concat ", " (List.map Json_str.quote m.backends) ^ "]");
-    ("ocaml_version", Json_str.quote m.ocaml_version);
-    ("word_size", string_of_int m.word_size);
-    ("domains", string_of_int m.domains);
+    ("git_rev", Json.String m.git_rev);
+    ("date_utc", Json.String m.date_utc);
+    ("seed", Json.option (fun s -> Json.Int s) m.seed);
+    ("backends", Json.List (List.map (fun b -> Json.String b) m.backends));
+    ("ocaml_version", Json.String m.ocaml_version);
+    ("word_size", Json.Int m.word_size);
+    ("domains", Json.Int m.domains);
   ]
 
-let meta_json m =
-  let fields = meta_base_fields m @ List.map (fun (k, v) -> (k, Json_str.quote v)) m.extra in
-  "{"
-  ^ String.concat ", " (List.map (fun (k, v) -> Json_str.quote k ^ ": " ^ v) fields)
-  ^ "}"
+let strings pairs = List.map (fun (k, v) -> (k, Json.String v)) pairs
+let meta_json m = Json.Obj (meta_base_fields m @ strings m.extra)
 
 (* The one place every BENCH_*.json stamps its run metadata.  The base
    toolchain keys are fixed and bench-specific knobs live under a single
@@ -60,60 +57,51 @@ let meta_json m =
    word_size, domains, params (locked by the suite). *)
 let bench_json ?seed ?backends ?(params = []) fields =
   let m = capture_meta ?seed ?backends () in
-  let meta =
-    Json_str.obj
-      (meta_base_fields m
-      @ [ ("params", Json_str.obj (List.map (fun (k, v) -> (k, Json_str.quote v)) params)) ])
-  in
-  Json_str.obj (("meta", meta) :: fields)
+  let meta = Json.Obj (meta_base_fields m @ [ ("params", Json.Obj (strings params)) ]) in
+  Json.to_string (Json.Obj (("meta", meta) :: fields))
 
 let exemplar_json (e : Trace.exemplar) =
-  Json_str.obj
+  Json.Obj
     [
-      ("bucket", string_of_int e.bucket);
-      ("trace_id", string_of_int e.trace_id);
-      ("value", Json_str.number e.value);
+      ("bucket", Json.Int e.bucket);
+      ("trace_id", Json.Int e.trace_id);
+      ("value", Json.Number e.value);
     ]
 
 let summary_json ?(exemplars = []) (s : Trace.summary) hist =
   let hist_json =
     match hist with
-    | None -> "[]"
+    | None -> []
     | Some h ->
-        Json_str.arr
-          (List.map (fun (b, c) -> Printf.sprintf "[%d, %d]" b c) (Prelude.Histogram.to_assoc h))
+        List.map (fun (b, c) -> Json.List [ Json.Int b; Json.Int c ]) (Prelude.Histogram.to_assoc h)
   in
-  let fields =
-    [
-      ("count", string_of_int s.Trace.count);
-      ("mean", Json_str.number s.Trace.mean);
-      ("stddev", Json_str.number s.Trace.stddev);
-      ("ci95", Json_str.number s.Trace.ci95);
-      ("min", Json_str.number_opt s.Trace.min);
-      ("max", Json_str.number_opt s.Trace.max);
-      ("p50", Json_str.number s.Trace.p50);
-      ("p90", Json_str.number s.Trace.p90);
-      ("p99", Json_str.number s.Trace.p99);
-      ("log2_hist", hist_json);
-    ]
+  Json.Obj
+    ([
+       ("count", Json.Int s.Trace.count);
+       ("mean", Json.Number s.Trace.mean);
+       ("stddev", Json.Number s.Trace.stddev);
+       ("ci95", Json.Number s.Trace.ci95);
+       ("min", Json.option (fun v -> Json.Number v) s.Trace.min);
+       ("max", Json.option (fun v -> Json.Number v) s.Trace.max);
+       ("p50", Json.Number s.Trace.p50);
+       ("p90", Json.Number s.Trace.p90);
+       ("p99", Json.Number s.Trace.p99);
+       ("log2_hist", Json.List hist_json);
+     ]
     @
     match exemplars with
     | [] -> []
-    | es -> [ ("exemplars", Json_str.arr (List.map exemplar_json es)) ]
-  in
-  Json_str.obj fields
+    | es -> [ ("exemplars", Json.List (List.map exemplar_json es)) ])
 
 let section_json trace =
-  let counters =
-    Trace.counters trace |> List.map (fun (name, v) -> (name, string_of_int v))
-  in
+  let counters = List.map (fun (name, v) -> (name, Json.Int v)) (Trace.counters trace) in
   let stats =
     Trace.summaries trace
     |> List.map (fun (name, s) ->
            ( name,
              summary_json ~exemplars:(Trace.exemplars trace name) s (Trace.hist trace name) ))
   in
-  Json_str.obj [ ("counters", Json_str.obj counters); ("stats", Json_str.obj stats) ]
+  Json.Obj [ ("counters", Json.Obj counters); ("stats", Json.Obj stats) ]
 
 (* One labeled registry as nested JSON: every series carries its parsed
    identity (base name + label object) next to its rendered value, so a
@@ -124,22 +112,21 @@ let labeled_json m =
   List.iter (fun (k, v) -> Hashtbl.replace counters k v) (Trace.counters trace);
   let gauges = Hashtbl.create 16 in
   List.iter (fun (k, v) -> Hashtbl.replace gauges k v) (Metrics.gauge_bindings m);
-  let labels_json labels =
-    Json_str.obj (List.map (fun (k, v) -> (k, Json_str.quote v)) labels)
-  in
   let series =
     Metrics.series m
     |> List.concat_map (fun (name, labels, key) ->
            let entry kind fields =
-             Json_str.obj
-               ([ ("name", Json_str.quote name);
-                  ("labels", labels_json labels);
-                  ("kind", Json_str.quote kind) ]
+             Json.Obj
+               ([
+                  ("name", Json.String name);
+                  ("labels", Json.Obj (strings labels));
+                  ("kind", Json.String kind);
+                ]
                @ fields)
            in
            let counter =
              match Hashtbl.find_opt counters key with
-             | Some v -> [ entry "counter" [ ("value", string_of_int v) ] ]
+             | Some v -> [ entry "counter" [ ("value", Json.Int v) ] ]
              | None -> []
            in
            let stream =
@@ -153,59 +140,25 @@ let labeled_json m =
            in
            let gauge =
              match Hashtbl.find_opt gauges key with
-             | Some v -> [ entry "gauge" [ ("value", Json_str.number v) ] ]
+             | Some v -> [ entry "gauge" [ ("value", Json.Number v) ] ]
              | None -> []
            in
            counter @ stream @ gauge)
   in
-  Json_str.obj
-    [
-      ("series", Json_str.arr series);
-      ("overflow_routed", string_of_int (Metrics.overflow_routed m));
-    ]
+  Json.Obj
+    [ ("series", Json.List series); ("overflow_routed", Json.Int (Metrics.overflow_routed m)) ]
 
 let metrics_json ?meta ?(timeseries = []) ?(labeled = []) ?runtime sections =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  (match meta with
-  | Some m -> Buffer.add_string buf (Printf.sprintf "  \"meta\": %s,\n" (meta_json m))
-  | None -> ());
-  Buffer.add_string buf "  \"sections\": {\n";
-  Buffer.add_string buf
-    (String.concat ",\n"
-       (List.map
-          (fun (name, trace) -> Printf.sprintf "    %s: %s" (Json_str.quote name) (section_json trace))
-          sections));
-  Buffer.add_string buf "\n  }";
-  (match labeled with
-  | [] -> ()
-  | ms ->
-      Buffer.add_string buf ",\n  \"labeled\": {\n";
-      Buffer.add_string buf
-        (String.concat ",\n"
-           (List.map
-              (fun (name, m) ->
-                Printf.sprintf "    %s: %s" (Json_str.quote name) (labeled_json m))
-              ms));
-      Buffer.add_string buf "\n  }");
-  (match runtime with
-  | None -> ()
-  | Some rp ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\n  \"runtime\": %s" (Runtime_profile.to_json rp)));
-  (match timeseries with
-  | [] -> ()
-  | ts ->
-      Buffer.add_string buf ",\n  \"timeseries\": {\n";
-      Buffer.add_string buf
-        (String.concat ",\n"
-           (List.map
-              (fun (name, t) ->
-                Printf.sprintf "    %s: %s" (Json_str.quote name) (Timeseries.to_json t))
-              ts));
-      Buffer.add_string buf "\n  }");
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  let named f items = Json.Obj (List.map (fun (name, x) -> (name, f x)) items) in
+  let optional key = function [] -> [] | fields -> [ (key, Json.Obj fields) ] in
+  Json.to_string
+    (Json.Obj
+       (Option.fold ~none:[] ~some:(fun m -> [ ("meta", meta_json m) ]) meta
+       @ [ ("sections", named section_json sections) ]
+       @ optional "labeled" (List.map (fun (name, m) -> (name, labeled_json m)) labeled)
+       @ Option.fold ~none:[] ~some:(fun rp -> [ ("runtime", Runtime_profile.to_json rp) ]) runtime
+       @ optional "timeseries" (List.map (fun (name, t) -> (name, Timeseries.to_json t)) timeseries)))
+  ^ "\n"
 
 (* --- Prometheus text exposition ------------------------------------- *)
 
@@ -222,7 +175,7 @@ let sanitize name =
 
 (* Prometheus accepts NaN sample values; use them rather than dropping the
    series so an empty stream is still visible in the scrape. *)
-let prom_number v = if Float.is_nan v then "NaN" else Json_str.number v
+let prom_number v = if Float.is_nan v then "NaN" else Json.to_string (Json.Number v)
 
 let prometheus ?(prefix = "nearby") sections =
   let prefix = sanitize prefix in
@@ -283,7 +236,8 @@ let prometheus ?(prefix = "nearby") sections =
   Buffer.contents buf
 
 (* Label pairs rendered to the exposition grammar: sorted keys sanitized
-   like metric names, values backslash-escaped.  [extra] appends
+   like metric names, values backslash-escaped (a JSON string literal is
+   a valid quoted label value for every escape the grammar defines).  [extra] appends
    renderer-owned labels (e.g. quantile) after the user's. *)
 let prom_labels ?(extra = []) labels =
   match labels @ extra with
@@ -292,7 +246,7 @@ let prom_labels ?(extra = []) labels =
       "{"
       ^ String.concat ","
           (List.map
-             (fun (k, v) -> Printf.sprintf "%s=\"%s\"" (sanitize k) (Json_str.escape v))
+             (fun (k, v) -> sanitize k ^ "=" ^ Json.to_string (Json.String v))
              pairs)
       ^ "}"
 

@@ -32,14 +32,14 @@ val capture_meta : ?seed:int -> ?backends:string list -> ?extra:(string * string
     domain count), so artifact trajectories (BENCH_*.json) are comparable
     across commits, toolchains and machines. *)
 
-val meta_json : meta -> string
+val meta_json : meta -> Json.t
 (** The metadata as one JSON object. *)
 
 val bench_json :
   ?seed:int -> ?backends:string list -> ?params:(string * string) list ->
-  (string * string) list -> string
-(** One BENCH_*.json document: [{"meta": {...}, <fields>...}], each field
-    an already-rendered JSON value.  The shared stamping path for every
+  (string * Json.t) list -> string
+(** One BENCH_*.json document rendered by {!Json.to_string}:
+    [{"meta": {...}, <fields>...}].  The shared stamping path for every
     bench emitter — [meta] always carries exactly the keys [git_rev],
     [date_utc], [seed], [backends], [ocaml_version], [word_size],
     [domains] and [params] (the bench-specific knobs as one object), so
@@ -47,10 +47,10 @@ val bench_json :
 
 val write_bench :
   path:string -> ?seed:int -> ?backends:string list -> ?params:(string * string) list ->
-  (string * string) list -> unit
+  (string * Json.t) list -> unit
 (** {!bench_json} straight to [path]. *)
 
-val labeled_json : Metrics.t -> string
+val labeled_json : Metrics.t -> Json.t
 (** One labeled registry as nested JSON: a ["series"] array whose entries
     carry the parsed identity ([name], [labels] object, [kind] ∈
     counter/stream/gauge) next to the rendered value — no consumer ever
@@ -63,7 +63,8 @@ val metrics_json :
   ?runtime:Runtime_profile.t ->
   (string * Trace.t) list ->
   string
-(** A complete JSON document: optional ["meta"] plus ["sections"], one
+(** A complete JSON document (one line, newline-terminated): optional
+    ["meta"] plus ["sections"], one
     entry per named trace with its counters and stat summaries.  When
     [labeled] is non-empty the document gains a ["labeled"] key (one
     {!labeled_json} per named registry); [runtime] adds a ["runtime"]

@@ -46,23 +46,19 @@ let events t =
     (List.init (count t) Fun.id)
 
 let event_json e =
-  Json_str.obj
+  Json.Obj
     [
-      ("ts", Json_str.number e.ts);
-      ("kind", Json_str.quote e.kind);
-      ("detail", Json_str.quote e.detail);
-      ("args", Json_str.obj (List.map (fun (k, v) -> (k, Span.value_json v)) e.args));
+      ("ts", Json.Number e.ts);
+      ("kind", Json.String e.kind);
+      ("detail", Json.String e.detail);
+      ("args", Json.Obj (List.map (fun (k, v) -> (k, Span.value_json v)) e.args));
     ]
 
 let to_jsonl t =
   let buf = Buffer.create 4096 in
   List.iter
     (fun e ->
-      Buffer.add_string buf (event_json e);
+      Buffer.add_string buf (Json.to_string (event_json e));
       Buffer.add_char buf '\n')
     (events t);
   Buffer.contents buf
-
-let write t path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_jsonl t))

@@ -39,9 +39,6 @@ val events : t -> event list
 
 val clear : t -> unit
 
-val event_json : event -> string
+val event_json : event -> Json.t
 val to_jsonl : t -> string
 (** One JSON object per line, oldest first. *)
-
-val write : t -> string -> unit
-(** Dump {!to_jsonl} to a file. *)

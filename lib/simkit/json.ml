@@ -1,14 +1,15 @@
-(* A minimal recursive-descent JSON reader.
-
-   The bench regression gate has to read back the BENCH_*.json documents
-   this very tree writes (via {!Json_str}), and the toolchain constraint is
-   "no new dependencies" — so the reader lives here.  It accepts standard
-   JSON (RFC 8259): all numbers become floats, objects keep field order,
-   [null] is a value of its own.  Error messages carry the byte offset. *)
+(* The repo's one JSON value type: a printer every exporter writes
+   through, and a recursive-descent reader for the documents it writes
+   back (the bench regression gate, trace analysis).  The toolchain
+   constraint is "no new dependencies", so both live here.  The reader
+   accepts exactly RFC 8259 JSON: all numbers become floats, objects keep
+   field order, [null] is a value of its own.  Error messages carry the
+   byte offset. *)
 
 type t =
   | Null
   | Bool of bool
+  | Int of int
   | Number of float
   | String of string
   | List of t list
@@ -68,11 +69,14 @@ let parse_string_body c =
             | 'u' ->
                 if c.pos + 4 > String.length c.src then error c "truncated \\u escape";
                 let hex = String.sub c.src c.pos 4 in
-                let code =
-                  match int_of_string_opt ("0x" ^ hex) with
-                  | Some v -> v
-                  | None -> error c (Printf.sprintf "bad \\u escape %S" hex)
+                let digit ch =
+                  match ch with
+                  | '0' .. '9' -> Char.code ch - Char.code '0'
+                  | 'a' .. 'f' -> Char.code ch - Char.code 'a' + 10
+                  | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
+                  | _ -> error c (Printf.sprintf "bad \\u escape %S" hex)
                 in
+                let code = String.fold_left (fun acc ch -> (acc * 16) + digit ch) 0 hex in
                 c.pos <- c.pos + 4;
                 (* UTF-8 encode the code point; surrogates are kept verbatim
                    as their bytes would be meaningless anyway — the
@@ -97,18 +101,31 @@ let parse_string_body c =
   go ();
   Buffer.contents buf
 
+(* RFC 8259 number grammar:  -? (0 | [1-9][0-9]* ) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+   Checked here because float_of_string alone also takes "01", "1.",
+   "-.5" and "1_0". *)
 let parse_number c =
   let start = c.pos in
-  let is_num_char ch =
-    match ch with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
+  let digit () = match peek c with Some '0' .. '9' -> true | _ -> false in
+  let digits () =
+    if not (digit ()) then error c "expected a digit";
+    while digit () do
+      c.pos <- c.pos + 1
+    done
   in
-  while c.pos < String.length c.src && is_num_char c.src.[c.pos] do
-    c.pos <- c.pos + 1
-  done;
-  let text = String.sub c.src start (c.pos - start) in
-  match float_of_string_opt text with
-  | Some v -> Number v
-  | None -> error c (Printf.sprintf "bad number %S" text)
+  if peek c = Some '-' then c.pos <- c.pos + 1;
+  if peek c = Some '0' then c.pos <- c.pos + 1 else digits ();
+  if peek c = Some '.' then begin
+    c.pos <- c.pos + 1;
+    digits ()
+  end;
+  (match peek c with
+  | Some ('e' | 'E') ->
+      c.pos <- c.pos + 1;
+      (match peek c with Some ('+' | '-') -> c.pos <- c.pos + 1 | _ -> ());
+      digits ()
+  | _ -> ());
+  Number (float_of_string (String.sub c.src start (c.pos - start)))
 
 let rec parse_value c =
   skip_ws c;
@@ -187,20 +204,74 @@ let parse_exn src =
   match parse src with Ok v -> v | Error e -> invalid_arg ("Json.parse: " ^ e)
 
 let of_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
-        really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | src -> parse src
   | exception Sys_error e -> Error e
+
+(* --- Printer ------------------------------------------------------------ *)
+
+let option f = function Some v -> f v | None -> Null
+
+(* JSON has no nan/infinity literals; they print as null so the document
+   always parses (a never-observed quantile is nan by contract).  Integral
+   floats below 1e15 print without a fraction, everything else to 9
+   significant digits; [Int]s print exactly. *)
+let number v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else if Float.is_finite v then Printf.sprintf "%.9g" v
+  else "null"
+
+let add_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | ch when Char.code ch < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code ch))
+      | ch -> Buffer.add_char buf ch)
+    s;
+  Buffer.add_char buf '"'
+
+let rec add buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (string_of_bool b)
+  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Number v -> Buffer.add_string buf (number v)
+  | String s -> add_string buf s
+  | List vs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add buf v)
+        vs;
+      Buffer.add_char buf ']'
+  | Obj fields ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_string buf ", ";
+          add_string buf k;
+          Buffer.add_string buf ": ";
+          add buf v)
+        fields;
+      Buffer.add_char buf '}'
+
+let to_string v =
+  let buf = Buffer.create 256 in
+  add buf v;
+  Buffer.contents buf
 
 (* --- Accessors --------------------------------------------------------- *)
 
 let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let path keys v = List.fold_left (fun acc key -> Option.bind acc (member key)) (Some v) keys
-let to_float = function Number v -> Some v | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
-let to_string = function String s -> Some s | _ -> None
-let to_list = function List vs -> Some vs | _ -> None
+let as_float = function Number v -> Some v | Int i -> Some (float_of_int i) | _ -> None
+let as_bool = function Bool b -> Some b | _ -> None
+let as_string = function String s -> Some s | _ -> None
+let as_list = function List vs -> Some vs | _ -> None
 let keys = function Obj fields -> List.map fst fields | _ -> []

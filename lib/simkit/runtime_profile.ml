@@ -104,48 +104,40 @@ let find t name = Hashtbl.find_opt t.phases name
 (* --- Serialization --------------------------------------------------- *)
 
 let gc_json g =
-  Json_str.obj
+  Json.Obj
     [
-      ("minor_words", Json_str.number g.minor_words);
-      ("major_words", Json_str.number g.major_words);
-      ("promoted_words", Json_str.number g.promoted_words);
-      ("minor_collections", string_of_int g.minor_collections);
-      ("major_collections", string_of_int g.major_collections);
-      ("compactions", string_of_int g.compactions);
-      ("heap_words", string_of_int g.heap_words);
+      ("minor_words", Json.Number g.minor_words);
+      ("major_words", Json.Number g.major_words);
+      ("promoted_words", Json.Number g.promoted_words);
+      ("minor_collections", Json.Int g.minor_collections);
+      ("major_collections", Json.Int g.major_collections);
+      ("compactions", Json.Int g.compactions);
+      ("heap_words", Json.Int g.heap_words);
     ]
 
 let phase_json p =
-  Json_str.obj
-    [
-      ("runs", string_of_int p.runs);
-      ("wall_ns", Json_str.number p.wall_ns);
-      ("gc", gc_json p.gc);
-    ]
+  Json.Obj [ ("runs", Json.Int p.runs); ("wall_ns", Json.Number p.wall_ns); ("gc", gc_json p.gc) ]
 
 let pool_json (u : Prelude.Domain_pool.utilization) =
   let share =
     let capacity = u.busy_ns +. u.idle_ns in
     if capacity > 0.0 then u.busy_ns /. capacity else 0.0
   in
-  Json_str.obj
+  Json.Obj
     [
-      ("domains", string_of_int u.domains);
-      ("wall_ns", Json_str.number u.wall_ns);
-      ("busy_ns", Json_str.number u.busy_ns);
-      ("idle_ns", Json_str.number u.idle_ns);
-      ("busy_share", Json_str.number share);
-      ("jobs", string_of_int u.jobs);
-      ("tasks", string_of_int u.tasks);
+      ("domains", Json.Int u.domains);
+      ("wall_ns", Json.Number u.wall_ns);
+      ("busy_ns", Json.Number u.busy_ns);
+      ("idle_ns", Json.Number u.idle_ns);
+      ("busy_share", Json.Number share);
+      ("jobs", Json.Int u.jobs);
+      ("tasks", Json.Int u.tasks);
     ]
 
 let to_json t =
-  let fields =
-    [
-      ( "phases",
-        Json_str.obj (List.map (fun p -> (p.name, phase_json p)) (phases t)) );
-      ("overhead_ns", Json_str.number t.overhead_ns);
-    ]
-    @ match t.pool with None -> [] | Some u -> [ ("domain_pool", pool_json u) ]
-  in
-  Json_str.obj fields
+  Json.Obj
+    ([
+       ("phases", Json.Obj (List.map (fun p -> (p.name, phase_json p)) (phases t)));
+       ("overhead_ns", Json.Number t.overhead_ns);
+     ]
+    @ match t.pool with None -> [] | Some u -> [ ("domain_pool", pool_json u) ])

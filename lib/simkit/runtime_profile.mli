@@ -56,7 +56,7 @@ val phases : t -> phase list
 
 val find : t -> string -> phase option
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** [{"phases": {name: {runs, wall_ns, gc: {...}}, …}, "overhead_ns": …,
     "domain_pool": {…}?}] — the [runtime] section of
     {!Export.metrics_json}. *)

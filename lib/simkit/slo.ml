@@ -269,10 +269,13 @@ let status_line st =
     (if st.breached then " BREACHED" else "")
 
 let status_json st =
-  Printf.sprintf
-    "{\"name\": %s, \"objective\": %s, \"evaluated\": %d, \"violating\": %d, \"burn_rate\": %s, \
-     \"worst\": %s, \"breached\": %b}"
-    (Json_str.quote st.spec.name)
-    (Json_str.quote (describe_objective st.spec.objective))
-    st.evaluated st.violating (Json_str.number st.burn_rate) (Json_str.number st.worst)
-    st.breached
+  Json.Obj
+    [
+      ("name", Json.String st.spec.name);
+      ("objective", Json.String (describe_objective st.spec.objective));
+      ("evaluated", Json.Int st.evaluated);
+      ("violating", Json.Int st.violating);
+      ("burn_rate", Json.Number st.burn_rate);
+      ("worst", Json.Number st.worst);
+      ("breached", Json.Bool st.breached);
+    ]

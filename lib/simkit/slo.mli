@@ -78,4 +78,4 @@ val of_string_exn : string -> spec
 
 val describe_objective : objective -> string
 val status_line : status -> string
-val status_json : status -> string
+val status_json : status -> Json.t

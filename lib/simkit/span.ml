@@ -142,40 +142,38 @@ let with_span sink ~name ?clock ?parent ?tid args f =
 let events = function Noop -> [] | Buffer b -> List.rev b.events
 let event_count = function Noop -> 0 | Buffer b -> b.count
 
-let value_json = function
-  | Int i -> string_of_int i
-  | Float f -> Json_str.number f
-  | Str s -> Json_str.quote s
-  | Bool b -> string_of_bool b
+let value_json : value -> Json.t = function
+  | Int i -> Json.Int i
+  | Float f -> Json.Number f
+  | Str s -> Json.String s
+  | Bool b -> Json.Bool b
 
 (* One Chrome trace-event (about://tracing, Perfetto) complete event per
    line.  The sink clock is in simulated milliseconds; the format wants
    microseconds.  The causal fields are top-level extras: Chrome/Perfetto
-   ignore unknown keys, while {!Trace_analysis} reads them back. *)
+   ignore unknown keys, while {!Trace_analysis} reads them back.  Events
+   are rendered only here, when the buffer is dumped. *)
 let event_json ~pid e =
   let base =
     [
-      ("name", Json_str.quote e.name);
-      ("cat", {|"nearby"|});
-      ("ph", {|"X"|});
-      ("pid", string_of_int pid);
-      ("tid", string_of_int e.tid);
-      ("ts", Json_str.number (e.ts *. 1000.0));
-      ("dur", Json_str.number (e.dur *. 1000.0));
+      ("name", Json.String e.name);
+      ("cat", Json.String "nearby");
+      ("ph", Json.String "X");
+      ("pid", Json.Int pid);
+      ("tid", Json.Int e.tid);
+      ("ts", Json.Number (e.ts *. 1000.0));
+      ("dur", Json.Number (e.dur *. 1000.0));
     ]
   in
   let causal =
     match e.ctx with
     | None -> []
     | Some c ->
-        [ ("trace_id", string_of_int c.trace_id); ("span_id", string_of_int c.span_id) ]
-        @
-        (match c.parent_span_id with
-        | Some p -> [ ("parent_span_id", string_of_int p) ]
-        | None -> [])
+        [ ("trace_id", Json.Int c.trace_id); ("span_id", Json.Int c.span_id) ]
+        @ (match c.parent_span_id with Some p -> [ ("parent_span_id", Json.Int p) ] | None -> [])
   in
   let args = List.map (fun (k, v) -> (k, value_json v)) e.args in
-  Json_str.obj (base @ causal @ [ ("args", Json_str.obj args) ])
+  Json.Obj (base @ causal @ [ ("args", Json.Obj args) ])
 
 let to_jsonl = function
   | Noop -> ""
@@ -183,13 +181,7 @@ let to_jsonl = function
       let buf = Buffer.create (256 * (b.count + 1)) in
       List.iter
         (fun e ->
-          Buffer.add_string buf (event_json ~pid:b.pid e);
+          Buffer.add_string buf (Json.to_string (event_json ~pid:b.pid e));
           Buffer.add_char buf '\n')
         (List.rev b.events);
       Buffer.contents buf
-
-let write_jsonl sinks path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> List.iter (fun s -> output_string oc (to_jsonl s)) sinks)

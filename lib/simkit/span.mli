@@ -22,8 +22,8 @@
 
 type value = Int of int | Float of float | Str of string | Bool of bool
 
-val value_json : value -> string
-(** One attribute value as a JSON literal (shared with {!Flight_recorder}). *)
+val value_json : value -> Json.t
+(** One attribute value as a JSON value (shared with {!Flight_recorder}). *)
 
 type context = {
   trace_id : int;  (** One id per request tree; roots use their span id. *)
@@ -122,6 +122,3 @@ val event_count : sink -> int
 
 val to_jsonl : sink -> string
 (** One Chrome trace-event JSON object per line ("" for noop). *)
-
-val write_jsonl : sink list -> string -> unit
-(** Concatenate the sinks' JSONL into a file (one line per event). *)

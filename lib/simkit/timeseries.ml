@@ -140,26 +140,28 @@ let reset t =
 (* --- JSON ------------------------------------------------------------- *)
 
 let summary_json (s : summary) =
-  Printf.sprintf
-    "{\"window\": %d, \"from_ms\": %s, \"count\": %d, \"rate_per_s\": %s, \"mean\": %s, \
-     \"p50\": %s, \"p90\": %s, \"p99\": %s}"
-    s.index (Json_str.number s.from_ms) s.count (Json_str.number s.rate_per_s)
-    (Json_str.number s.mean) (Json_str.number s.p50) (Json_str.number s.p90)
-    (Json_str.number s.p99)
+  Json.Obj
+    [
+      ("window", Json.Int s.index);
+      ("from_ms", Json.Number s.from_ms);
+      ("count", Json.Int s.count);
+      ("rate_per_s", Json.Number s.rate_per_s);
+      ("mean", Json.Number s.mean);
+      ("p50", Json.Number s.p50);
+      ("p90", Json.Number s.p90);
+      ("p99", Json.Number s.p99);
+    ]
 
 let series_json t s =
   let ws = windows_of_series t s in
   let from = match ws with _ :: _ -> max 0 (s.latest - List.length ws + 1) | [] -> 0 in
-  Printf.sprintf "{\"from_window\": %d, \"windows\": [%s]}" from
-    (String.concat ", "
-       (List.map (function None -> "null" | Some w -> summary_json w) ws))
+  Json.Obj
+    [ ("from_window", Json.Int from); ("windows", Json.List (List.map (Json.option summary_json) ws)) ]
 
 let to_json t =
-  let entries =
-    names t
-    |> List.map (fun name ->
-           Printf.sprintf "%s: %s" (Json_str.quote name)
-             (series_json t (Hashtbl.find t.table name)))
-  in
-  Printf.sprintf "{\"window_ms\": %s, \"series\": {%s}}" (Json_str.number t.window_ms)
-    (String.concat ", " entries)
+  Json.Obj
+    [
+      ("window_ms", Json.Number t.window_ms);
+      ( "series",
+        Json.Obj (List.map (fun name -> (name, series_json t (Hashtbl.find t.table name))) (names t)) );
+    ]

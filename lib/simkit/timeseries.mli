@@ -62,8 +62,8 @@ val reset : t -> unit
 (** Empty every series {e in place}: handles from {!series} stay live,
     mirroring {!Trace.reset}'s [counter_ref] guarantee. *)
 
-val summary_json : summary -> string
+val summary_json : summary -> Json.t
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** [{"window_ms": ..., "series": {"<name>": {"from_window": i, "windows":
     [null | {...}, ...]}}}] — absent windows are [null]. *)

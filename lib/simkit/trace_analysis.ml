@@ -20,8 +20,8 @@ let span_end s = s.ts +. s.dur
 (* --- Loading ---------------------------------------------------------- *)
 
 let span_of_json j =
-  let str k = Option.bind (Json.member k j) Json.to_string in
-  let num k = Option.bind (Json.member k j) Json.to_float in
+  let str k = Option.bind (Json.member k j) Json.as_string in
+  let num k = Option.bind (Json.member k j) Json.as_float in
   let int k = Option.map int_of_float (num k) in
   match (str "name", num "ts", int "trace_id", int "span_id") with
   | Some name, Some ts, Some trace_id, Some span_id ->

@@ -40,7 +40,7 @@ let test_event_json () =
       args = [ ("dst", Span.Int 3); ("latency_ms", Span.Float 1.5); ("fatal", Span.Bool false) ];
     }
   in
-  let json = Flight_recorder.event_json e in
+  let json = Json.to_string (Flight_recorder.event_json e) in
   List.iter
     (fun needle -> Alcotest.(check bool) (needle ^ " present") true (contains needle json))
     [ "\"ts\": 12.5"; "\"kind\": \"rpc\""; "time\\\"out"; "\"dst\": 3"; "\"fatal\": false" ]

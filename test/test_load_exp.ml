@@ -60,10 +60,12 @@ let test_determinism () =
   let a = Eval.Load_exp.run { base_config with policy = "slo" } in
   let b = Eval.Load_exp.run { base_config with policy = "slo" } in
   Alcotest.(check string) "same seed, same result"
-    (Eval.Load_exp.result_json a) (Eval.Load_exp.result_json b);
+    (Simkit.Json.to_string (Eval.Load_exp.result_json a))
+    (Simkit.Json.to_string (Eval.Load_exp.result_json b));
   let c = Eval.Load_exp.run { base_config with policy = "slo"; seed = 43 } in
   Alcotest.(check bool) "different seed differs" true
-    (Eval.Load_exp.result_json a <> Eval.Load_exp.result_json c)
+    (Simkit.Json.to_string (Eval.Load_exp.result_json a)
+    <> Simkit.Json.to_string (Eval.Load_exp.result_json c))
 
 let test_churn_and_mobility () =
   let config =
@@ -90,21 +92,21 @@ let test_churn_and_mobility () =
 
 let test_result_json_shape () =
   let r = run "slo" in
-  let json = Simkit.Json.parse_exn (Eval.Load_exp.result_json r) in
+  let json = Simkit.Json.parse_exn (Simkit.Json.to_string (Eval.Load_exp.result_json r)) in
   let get conv key =
     match Option.bind (Simkit.Json.path [ key ] json) conv with
     | Some v -> v
     | None -> Alcotest.fail (Printf.sprintf "missing or mistyped field %S" key)
   in
-  Alcotest.(check string) "arrival" "flash" (get Simkit.Json.to_string "arrival");
-  Alcotest.(check string) "policy" "slo" (get Simkit.Json.to_string "policy");
+  Alcotest.(check string) "arrival" "flash" (get Simkit.Json.as_string "arrival");
+  Alcotest.(check string) "policy" "slo" (get Simkit.Json.as_string "policy");
   Alcotest.(check (float 1e-6)) "submitted round-trips" (float_of_int r.Eval.Load_exp.submitted)
-    (get Simkit.Json.to_float "submitted");
+    (get Simkit.Json.as_float "submitted");
   Alcotest.(check (float 0.01)) "join p99 round-trips" r.Eval.Load_exp.join_p99_ms
-    (get Simkit.Json.to_float "join_p99_ms");
-  Alcotest.(check bool) "headline flag present" true (get Simkit.Json.to_bool "p99_within_budget");
+    (get Simkit.Json.as_float "join_p99_ms");
+  Alcotest.(check bool) "headline flag present" true (get Simkit.Json.as_bool "p99_within_budget");
   (* shed serializes as an object keyed by reason. *)
-  match Option.bind (Simkit.Json.path [ "shed"; "slo" ] json) Simkit.Json.to_float with
+  match Option.bind (Simkit.Json.path [ "shed"; "slo" ] json) Simkit.Json.as_float with
   | Some n -> Alcotest.(check bool) "shed breakdown present" true (n > 0.0)
   | None -> Alcotest.fail "shed.slo missing from result json"
 

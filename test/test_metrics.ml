@@ -113,7 +113,7 @@ let test_prometheus_labeled () =
   check_has "stream count line" text "nearby_fleet_join_ms_count{replica=\"0\"} 3";
   check_has "quantile label appended" text "quantile=\"0.99\"";
   check_has "gauge line" text "nearby_fleet_shard_members{shard=\"1\"} 7";
-  let json = Export.labeled_json m in
+  let json = Json.to_string (Export.labeled_json m) in
   check_has "json series array" json "\"series\"";
   check_has "json nested labels" json "\"labels\"";
   check_has "json overflow counter" json "\"overflow_routed\""
@@ -194,10 +194,10 @@ let test_bench_json_meta_keys () =
     (meta_keys
        (Export.bench_json ~seed:1 ~backends:[ "tree" ]
           ~params:[ ("peers", "10"); ("loss", "0.3") ]
-          [ ("wire", "{}") ]));
+          [ ("wire", Json.Obj []) ]));
   Alcotest.(check (list string))
     "no knobs" expected
-    (meta_keys (Export.bench_json [ ("runs", "[]") ]))
+    (meta_keys (Export.bench_json [ ("runs", Json.List []) ]))
 
 (* The acceptance scenario: a 3-replica cluster over sharded:4 exports one
    merged fleet-wide trace whose per-label p99s and merged p99 stay within

@@ -102,33 +102,34 @@ let test_exemplar_export () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "metrics json no longer parses: %s" e
 
-(* --- JSON string building round-trips ----------------------------------- *)
+(* --- JSON printer round-trips ------------------------------------------- *)
 
-let test_json_str_roundtrip () =
+let test_json_printer_roundtrip () =
   let nasty =
     [ ""; "plain"; "with \"quotes\""; "back\\slash"; "tab\tnewline\ncr\r"; "ctrl\x01\x1f";
       "unicode \xc3\xa9"; "{\"not\": \"json\"}" ]
   in
   List.iter
     (fun s ->
-      match Json.parse (Json_str.quote s) with
+      match Json.parse (Json.to_string (Json.String s)) with
       | Ok j -> (
-          match Json.to_string j with
-          | Some s' -> Alcotest.(check string) "string survives quote+parse" s s'
-          | None -> Alcotest.failf "quote %S parsed to a non-string" s)
-      | Error e -> Alcotest.failf "quote %S does not parse: %s" s e)
+          match Json.as_string j with
+          | Some s' -> Alcotest.(check string) "string survives print+parse" s s'
+          | None -> Alcotest.failf "printed %S parsed to a non-string" s)
+      | Error e -> Alcotest.failf "printed %S does not parse: %s" s e)
     nasty;
-  (* obj/arr assemble documents Json.parse accepts, keys escaped. *)
+  (* Objects and arrays print as documents Json.parse accepts, keys escaped. *)
   let doc =
-    Json_str.obj
-      [ ("a\"b", Json_str.number 1.5); ("list", Json_str.arr [ "1"; "2" ]);
-        ("nan", Json_str.number Float.nan) ]
+    Json.to_string
+      (Json.Obj
+         [ ("a\"b", Json.Number 1.5); ("list", Json.List [ Json.Int 1; Json.Int 2 ]);
+           ("nan", Json.Number Float.nan) ])
   in
   match Json.parse doc with
   | Error e -> Alcotest.failf "obj output does not parse: %s" e
   | Ok j ->
       Alcotest.(check (option (float 1e-9))) "escaped key readable" (Some 1.5)
-        (Option.bind (Json.member "a\"b" j) Json.to_float);
+        (Option.bind (Json.member "a\"b" j) Json.as_float);
       Alcotest.(check bool) "nan rendered null" true (Json.member "nan" j <> None)
 
 (* --- critical-path analysis --------------------------------------------- *)
@@ -237,12 +238,12 @@ let test_introspect_all_backends () =
       Alcotest.(check bool)
         (name ^ ": top-k bounded") true
         (List.length i.Nearby.Registry_intf.hot_routers <= Nearby.Registry_intf.hot_router_k);
-      match Json.parse (Nearby.Registry_intf.introspection_json i) with
+      match Json.parse (Json.to_string (Nearby.Registry_intf.introspection_json i)) with
       | Ok j ->
           Alcotest.(check (option (float 1e-9)))
             (name ^ ": json members")
             (Some 4.0)
-            (Option.bind (Json.member "members" j) Json.to_float)
+            (Option.bind (Json.member "members" j) Json.as_float)
       | Error e -> Alcotest.failf "%s: introspection json does not parse: %s" name e)
     Eval.Backends.all
 
@@ -353,7 +354,7 @@ let suite =
       Alcotest.test_case "finish idempotent" `Quick test_finish_idempotent;
       Alcotest.test_case "tail exemplars" `Quick test_exemplars;
       Alcotest.test_case "exemplar export" `Quick test_exemplar_export;
-      Alcotest.test_case "json_str round-trips" `Quick test_json_str_roundtrip;
+      Alcotest.test_case "json printer round-trips" `Quick test_json_printer_roundtrip;
       Alcotest.test_case "critical path" `Quick test_critical_path;
       Alcotest.test_case "multiple roots" `Quick test_multiple_roots_kept_longest;
       Alcotest.test_case "introspect all backends" `Quick test_introspect_all_backends;

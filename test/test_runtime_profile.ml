@@ -62,7 +62,7 @@ let test_phase_order_and_find () =
 let test_to_json_shape () =
   let p = Runtime_profile.create () in
   Runtime_profile.phase p "build" allocation_burst;
-  let json = Runtime_profile.to_json p in
+  let json = Json.to_string (Runtime_profile.to_json p) in
   let has sub =
     let n = String.length json and m = String.length sub in
     let rec scan i = i + m <= n && (String.sub json i m = sub || scan (i + 1)) in

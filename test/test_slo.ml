@@ -235,7 +235,7 @@ let test_renderings () =
   in
   Alcotest.(check bool) "line names the spec" true (has "lat<=50" line);
   Alcotest.(check bool) "line flags the breach" true (has "BREACHED" line);
-  let json = Slo.status_json st in
+  let json = Json.to_string (Slo.status_json st) in
   Alcotest.(check bool) "json breached flag" true (has "\"breached\": true" json);
   Alcotest.(check bool) "json burn rate" true (has "\"burn_rate\"" json)
 

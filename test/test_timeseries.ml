@@ -72,7 +72,7 @@ let test_empty_windows_serialize_null () =
   let t = Timeseries.create ~window_ms:100.0 () in
   Timeseries.observe t "lat" ~now:0.0 1.0;
   Timeseries.observe t "lat" ~now:350.0 2.0;
-  let doc = Timeseries.to_json t in
+  let doc = Json.to_string (Timeseries.to_json t) in
   Alcotest.(check bool) "series present" true (contains "\"lat\"" doc);
   Alcotest.(check bool) "gap windows are null" true (contains "null, null" doc);
   Alcotest.(check bool) "window fields" true (contains "\"count\"" doc);
