@@ -122,8 +122,6 @@ let run (config : config) =
     Nearby.Cluster.create ~recorder ~metrics ~transport ~client_router
       ~make_server:(fun () ->
         Nearby.Server.create ?latency:w.ctx.latency w.ctx.oracle ~landmarks:w.landmarks)
-      ~restore_server:(fun data ->
-        Nearby.Server.restore ?latency:w.ctx.latency w.ctx.oracle data)
       ~routers:replica_routers ()
   in
   let rpc = Simkit.Rpc.create ~config:config.rpc ~rng:(Prelude.Prng.split w.rng) transport in
@@ -186,9 +184,8 @@ let run (config : config) =
     | None -> Float.nan
   in
   let lag = Simkit.Trace.summary ctrace "cluster_antientropy_lag_ms" in
-  (* Fleet staleness at the horizon: one fresh tracker per replica (the
-     servers may have been replaced by catch-up restores, so trackers are
-     not kept across the run), ages merged into one sketch. *)
+  (* Fleet staleness at the horizon: one fresh tracker per replica, ages
+     merged into one sketch. *)
   let fleet_ages = Prelude.Sketch.create () in
   let oldest = ref 0.0 in
   for i = 0 to Nearby.Cluster.replica_count cluster - 1 do
@@ -314,7 +311,7 @@ let gate : Regression.table =
           | Some Null -> true
           | _ -> h "detection_latency_ms" doc >= 0.0);
       (* The digest gate saved transfers while the fleet was in sync, and
-         real drift still paid for its snapshot restores. *)
+         real drift still paid for its anti-entropy repairs. *)
       invariant "gate_skipped_transfer" (fun doc -> h "sync_skipped" doc >= 1.0);
       invariant "straggler_restored" (fun doc -> h "sync_restores" doc >= 1.0);
       invariant "snapshot_bytes_on_wire" (fun doc -> h "snapshot_wire_bytes" doc > 0.0);

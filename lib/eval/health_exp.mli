@@ -51,9 +51,9 @@ type result = {
   lag_p50_ms : float;  (** Median first-detection → reconvergence time. *)
   lag_max_ms : float;
   sync_rounds : int;
-  sync_restores : int;  (** Snapshot transfers actually performed. *)
-  sync_skipped : int;  (** Transfers the digest gate saved. *)
-  sync_bytes : int;  (** Snapshot payload bytes restored. *)
+  sync_restores : int;  (** Bucket repairs of divergent replicas performed. *)
+  sync_skipped : int;  (** Repairs the digest comparison saved. *)
+  sync_bytes : int;  (** Anti-entropy bytes: digest vectors plus shipped entries. *)
   snapshot_wire_bytes : int;  (** [wire_bytes_total{kind="snapshot"}]. *)
   report_age_p50_ms : float;
       (** Report-age quantiles at the horizon, merged across replicas

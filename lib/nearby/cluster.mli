@@ -7,7 +7,9 @@
     where "believed" is a {!Simkit.Failure_detector} fed by per-replica
     heartbeats, and fail over to the next-closest on retry.  Replicas that
     miss writes (crashed, partitioned, lossy links) are healed by periodic
-    anti-entropy built on {!Server.snapshot}/{!Server.restore}.
+    anti-entropy that compares per-bucket content digests and ships only
+    the entries of the buckets that differ ({!Server.repair}); every
+    replica keeps its {!Server.t} for the cluster's lifetime.
 
     A {!single}-replica cluster degenerates to a plain server with no
     transport, detector or replication machinery, so the direct protocol
@@ -25,21 +27,23 @@ val create :
   ?recorder:Simkit.Flight_recorder.t ->
   ?spans:Simkit.Span.sink ->
   ?metrics:Simkit.Metrics.t ->
+  ?restore_server:(string -> (Server.t, string) result) ->
   transport:Simkit.Transport.t ->
   client_router:Topology.Graph.node ->
   make_server:(unit -> Server.t) ->
-  restore_server:(string -> (Server.t, string) result) ->
   routers:Topology.Graph.node array ->
   unit ->
   t
 (** One replica per entry of [routers] (each built by [make_server], which
     must produce servers over the same oracle and landmarks).  Starts a
     heartbeat watch on every replica, monitored from [client_router].
-    [restore_server] rebuilds a replica from a snapshot during anti-entropy.
+    [restore_server] is ignored: anti-entropy repairs replicas in place
+    and never rebuilds one; the argument stays only for callers that still
+    pass it.
     [recorder] receives one ["cluster"]-kind flight-recorder event per
-    membership change: crash, recover, suspicion, anti-entropy restore,
-    back-in-sync (with the measured recovery time), and the
-    divergence/convergence edges of {!digest_check}.  [metrics] receives
+    membership change: crash, recover, suspicion, anti-entropy repair
+    (["sync_restore"]), back-in-sync (with the measured recovery time),
+    and the divergence/convergence edges of {!digest_check}.  [metrics] receives
     the [wire_replication_amplification] and [cluster_divergent_replicas]
     gauges and the labeled [cluster_digest_checks_total] counters.  Every
     replica's server clock is set to the engine, so registration stamps
@@ -64,7 +68,8 @@ val trace : t -> Simkit.Trace.t
     ["cluster_crashes"], ["cluster_recoveries"], ["cluster_sync_rounds"],
     ["cluster_sync_union"], ["cluster_sync_restores"],
     ["cluster_sync_skipped"] (catch-up transfers the digest gate saved),
-    ["cluster_sync_bytes"], ["cluster_client_report_bytes"],
+    ["cluster_sync_bytes"] (the anti-entropy bytes charged as kind
+    ["snapshot"]), ["cluster_client_report_bytes"],
     ["cluster_replica_bytes"], ["cluster_digest_checks"]; streams
     ["cluster_recovery_ms"] and ["cluster_antientropy_lag_ms"] (engine time
     from first detected divergence to detected reconvergence, one sample
@@ -188,19 +193,30 @@ val recover : t -> int -> unit
 (** Restart a crashed replica with its on-disk state.  Re-arms its
     heartbeat watch from scratch — the fresh watch must not inherit the
     crashed incarnation's silence timer.  The replica counts as recovered
-    (stream ["cluster_recovery_ms"]) when a sync round confirms its peer
-    set matches the cluster's. *)
+    (stream ["cluster_recovery_ms"]) when a sync round confirms its content
+    digest matches the source's. *)
 
 val sync_round : t -> unit
-(** One anti-entropy round over the live replicas: union missing
-    registrations into the most complete replica, then wholesale
-    {!Server.snapshot}/[restore] any straggler whose {e content digest}
-    differs from the source's — a straggler whose digest already matches
-    skips the transfer (counter ["cluster_sync_skipped"]).  Runs a
-    {!digest_check} at both ends of the round, so divergence is detected
-    no later than the next sync tick and reconvergence is recorded the
-    moment the repair lands.  A restored replica's registration stamps are
-    refreshed to now (it learned every report just now).  Emits one
+(** One anti-entropy round over the live replicas.  The source is the
+    most complete live replica (most peers, ties to the lowest id).  Each
+    other live replica compares its {!Server.digest_buckets} bucket
+    digests with the source's:
+    - union: its entries in differing buckets that the source lacks are
+      pushed into the source ({!Server.absorb}, counter
+      ["cluster_sync_union"]);
+    - catch-up: a replica whose buckets still differ is repaired in those
+      buckets only ({!Server.repair}, counter ["cluster_sync_restores"],
+      one per repaired replica); one whose buckets all match is skipped
+      (counter ["cluster_sync_skipped"]).
+    Repair happens in place: {!server_of} returns the same server before
+    and after, entries it already held keep their registration stamps,
+    and repaired entries are stamped now.  The round charges kind
+    ["snapshot"] with what a deployment would send: the 2048-byte digest
+    vector once per divergent (replica, source) pair plus the
+    {!Wire.Path_report} bytes of every shipped entry, one message per
+    direction; ["cluster_sync_bytes"] counts the same bytes.  Runs a {!digest_check} at both ends of the round, so
+    divergence is detected no later than the next sync tick and
+    reconvergence is recorded the moment the repair lands.  Emits one
     ["sync_round"] span (a root of its own trace) when a sink is
     attached. *)
 
@@ -210,7 +226,8 @@ val start_sync : t -> period_ms:float -> until:float -> unit
     period. *)
 
 val consistent : t -> bool
-(** Every live replica holds the same peer-id set. *)
+(** Every live replica has the same content digest ({!Server.digest}):
+    the same peers with the same recorded paths.  O(replicas). *)
 
 val check_invariants : t -> unit
 (** {!Server.check_invariants} on every replica, dead or alive. *)

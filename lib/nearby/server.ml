@@ -11,6 +11,18 @@ type peer_info = {
   probes_spent : int;
 }
 
+let digest_buckets = 256
+let bucket_of peer = Hashtbl.hash peer land (digest_buckets - 1)
+
+(* A bucket's peer table hashes the bits above the bucket index: every key
+   in one bucket shares the low 8 bits of [Hashtbl.hash]. *)
+module Peer_table = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash peer = Hashtbl.hash peer lsr 8
+end)
+
 type t = {
   oracle : Traceroute.Route_oracle.t;
   latency : Topology.Latency.t option;
@@ -21,10 +33,16 @@ type t = {
   landmark_ids : Topology.Graph.node array;
   backend : (module Registry_intf.S);
   registries : (Topology.Graph.node, Registry_intf.t) Hashtbl.t;
-  peers : (int, peer_info) Hashtbl.t;
+  (* The registered peers, split into anti-entropy buckets by [bucket_of].
+     [bucket_digests.(b)] is the XOR of the entry digests of bucket [b],
+     updated on every add and remove, so two replicas compare 256 digests
+     and exchange only the entries of the buckets that differ. *)
+  buckets : peer_info Peer_table.t array;
+  bucket_digests : int64 array;
+  mutable peer_count : int;
   (* Engine time at which this server last learned each peer's report:
      stamped on every registration path (join, replica apply, restore,
-     handover re-join), dropped on leave.  A side table, deliberately NOT
+     anti-entropy repair, handover re-join), dropped on leave.  A side table, deliberately NOT
      part of [snapshot] — staleness is a property of the replica's view,
      not of the data, and serializing it would perturb every snapshot byte
      baseline.  [clock] defaults to a constant 0.0 until {!set_clock}
@@ -65,7 +83,9 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
     landmark_ids = Array.copy landmarks;
     backend;
     registries;
-    peers = Hashtbl.create 256;
+    buckets = Array.init digest_buckets (fun _ -> Peer_table.create 16);
+    bucket_digests = Array.make digest_buckets Registry_intf.empty_digest;
+    peer_count = 0;
     registered_at = Hashtbl.create 256;
     clock = (fun () -> 0.0);
     trace;
@@ -75,23 +95,26 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
 
 let set_clock t clock = t.clock <- clock
 
+(* Stamp a peer's report as learned now without counting a refresh: state
+   transfer (restore, anti-entropy repair) is not a client refresh. *)
+let stamp_quiet t peer = Hashtbl.replace t.registered_at peer (t.clock ())
+
 (* Stamp (or re-stamp) a peer's report as learned now.  Counted so the
    staleness view can report a per-window refresh rate. *)
 let stamp t peer =
-  Hashtbl.replace t.registered_at peer (t.clock ());
+  stamp_quiet t peer;
   Simkit.Trace.incr t.trace "report_refresh"
 
 let registration_time t peer = Hashtbl.find_opt t.registered_at peer
 let iter_registration_times t f = Hashtbl.iter f t.registered_at
 
-let refresh_stamps t =
-  Hashtbl.iter (fun peer _ -> Hashtbl.replace t.registered_at peer (t.clock ())) t.peers
-
 let graph t = Traceroute.Route_oracle.graph t.oracle
 let landmarks t = Array.copy t.landmark_ids
-let peer_count t = Hashtbl.length t.peers
-let mem t peer = Hashtbl.mem t.peers peer
-let info t peer = Hashtbl.find_opt t.peers peer
+let peer_count t = t.peer_count
+let mem t peer = Peer_table.mem t.buckets.(bucket_of peer) peer
+let info t peer = Peer_table.find_opt t.buckets.(bucket_of peer) peer
+let iter_peers t f = Array.iter (Peer_table.iter f) t.buckets
+let fold_peers t f init = Array.fold_left (fun acc tbl -> Peer_table.fold f tbl acc) init t.buckets
 let trace t = t.trace
 let registry_of t lmk = Hashtbl.find t.registries lmk
 
@@ -119,7 +142,7 @@ let digest t =
     (fun _ reg acc -> Registry_intf.combine_digests acc (Registry_intf.digest reg))
     t.registries Registry_intf.empty_digest
 
-let peer_ids t = Hashtbl.fold (fun peer _ acc -> peer :: acc) t.peers [] |> List.sort compare
+let peer_ids t = fold_peers t (fun peer _ acc -> peer :: acc) [] |> List.sort compare
 
 (* Everything one join measured, kept so spans and per-phase stats can
    report simulated durations alongside the recorded path. *)
@@ -174,6 +197,48 @@ let registrable_path ~landmark path =
   if n > 0 && routers.(n - 1) = landmark then routers
   else Array.append routers [| landmark |]
 
+let flip_bucket t ~peer ~routers =
+  let b = bucket_of peer in
+  t.bucket_digests.(b) <-
+    Registry_intf.combine_digests t.bucket_digests.(b) (Registry_intf.entry_digest ~peer ~routers);
+  b
+
+(* Every add path records the peer through here, after its registry
+   insert of [routers], so the peers table and the peer's bucket change
+   together. *)
+let add_entry t ~peer ~routers info =
+  Peer_table.add t.buckets.(flip_bucket t ~peer ~routers) peer info;
+  t.peer_count <- t.peer_count + 1
+
+let remove_entry t ~peer (info : peer_info) =
+  Registry_intf.remove (registry_of t info.landmark) peer;
+  Hashtbl.remove t.registered_at peer;
+  let routers = registrable_path ~landmark:info.landmark info.recorded_path in
+  Peer_table.remove t.buckets.(flip_bucket t ~peer ~routers) peer;
+  t.peer_count <- t.peer_count - 1
+
+(* The batch registry write: one [insert_many] per landmark over
+   [(peer, landmark, routers)] entries, landmarks in first-appearance
+   order and entries in input order within each.  Returns the number of
+   landmarks written. *)
+let insert_grouped t entries =
+  let by_landmark = Hashtbl.create 8 in
+  let order = ref [] in
+  List.iter
+    (fun (peer, landmark, routers) ->
+      match Hashtbl.find_opt by_landmark landmark with
+      | Some group -> group := (peer, routers) :: !group
+      | None ->
+          Hashtbl.add by_landmark landmark (ref [ (peer, routers) ]);
+          order := landmark :: !order)
+    entries;
+  List.iter
+    (fun lmk ->
+      let group = Array.of_list (List.rev !(Hashtbl.find by_landmark lmk)) in
+      Registry_intf.insert_many (registry_of t lmk) group)
+    (List.rev !order);
+  Hashtbl.length by_landmark
+
 (* Emit the still-open join span of [peer], closing it at the current span
    clock; the span then encloses ping_round, traceroute, register and (when
    one happened before the close) the peer's first query. *)
@@ -184,7 +249,7 @@ let close_join_span t ~peer =
       Hashtbl.remove t.open_joins peer;
       let now = Simkit.Span.now t.spans in
       let args =
-        match Hashtbl.find_opt t.peers peer with
+        match info t peer with
         | None -> [ ("peer", Simkit.Span.Int peer) ]
         | Some info ->
             [
@@ -204,7 +269,7 @@ let flush_spans t =
    counters/spans.  Split from [join] so a replicated cluster can measure
    once at the client and register the same measurement on any replica. *)
 let register_measured ?parent t ~peer ~attach_router (r : measurement) =
-  if Hashtbl.mem t.peers peer then
+  if mem t peer then
     invalid_arg "Server.register_measured: peer already registered";
   let landmark = r.lmk and recorded_path = r.reduced and probes_spent = r.cost in
   let routers = registrable_path ~landmark recorded_path in
@@ -217,7 +282,7 @@ let register_measured ?parent t ~peer ~attach_router (r : measurement) =
   Simkit.Span.with_context t.spans register_ctx (fun () ->
       Registry_intf.insert (registry_of t landmark) ~peer ~routers);
   let info = { attach_router; landmark; recorded_path; probes_spent } in
-  Hashtbl.add t.peers peer info;
+  add_entry t ~peer ~routers info;
   stamp t peer;
   Log.debug (fun m ->
       m "join peer=%d router=%d landmark=%d hops=%d probes=%d" peer attach_router landmark
@@ -266,20 +331,20 @@ let register_measured ?parent t ~peer ~attach_router (r : measurement) =
   info
 
 let join ?rng t ~peer ~attach_router =
-  if Hashtbl.mem t.peers peer then invalid_arg "Server.join: peer already registered";
+  if mem t peer then invalid_arg "Server.join: peer already registered";
   register_measured t ~peer ~attach_router (measure ?rng t ~attach_router)
 
 (* Replication apply: a peer measured and registered elsewhere lands here
    verbatim.  No join counters or spans — this is cluster traffic, not a
    protocol join — only the [replica_register] counter. *)
 let register_replica t ~peer ~attach_router ~landmark ~path ~probes_spent =
-  if Hashtbl.mem t.peers peer then
+  if mem t peer then
     invalid_arg "Server.register_replica: peer already registered";
   if not (Array.mem landmark t.landmark_ids) then
     invalid_arg "Server.register_replica: unknown landmark";
   let routers = registrable_path ~landmark path in
   Registry_intf.insert (registry_of t landmark) ~peer ~routers;
-  Hashtbl.add t.peers peer { attach_router; landmark; recorded_path = path; probes_spent };
+  add_entry t ~peer ~routers { attach_router; landmark; recorded_path = path; probes_spent };
   stamp t peer;
   Simkit.Trace.incr t.trace "replica_register"
 
@@ -297,32 +362,24 @@ let register_measured_batch ?parent t entries =
   let batch_seen = Hashtbl.create (2 * n) in
   Array.iter
     (fun (peer, _, _) ->
-      if Hashtbl.mem t.peers peer || Hashtbl.mem batch_seen peer then
+      if mem t peer || Hashtbl.mem batch_seen peer then
         invalid_arg "Server.register_measured: peer already registered";
       Hashtbl.add batch_seen peer ())
     entries;
-  (* Group per landmark, preserving entry order within each group. *)
-  let by_landmark = Hashtbl.create 8 in
-  let order = ref [] in
-  Array.iter
-    (fun (peer, _, (r : measurement)) ->
-      let routers = registrable_path ~landmark:r.lmk r.reduced in
-      match Hashtbl.find_opt by_landmark r.lmk with
-      | Some group -> group := (peer, routers) :: !group
-      | None ->
-          Hashtbl.add by_landmark r.lmk (ref [ (peer, routers) ]);
-          order := r.lmk :: !order)
-    entries;
-  let batch_ctx = Simkit.Span.context t.spans ?parent () in
-  Simkit.Span.with_context t.spans batch_ctx (fun () ->
-      List.iter
-        (fun lmk ->
-          let group = Array.of_list (List.rev !(Hashtbl.find by_landmark lmk)) in
-          Registry_intf.insert_many (registry_of t lmk) group)
-        (List.rev !order));
-  let infos =
+  let routed =
     Array.map
-      (fun (peer, attach_router, (r : measurement)) ->
+      (fun (peer, _, (r : measurement)) ->
+        (peer, r.lmk, registrable_path ~landmark:r.lmk r.reduced))
+      entries
+  in
+  let batch_ctx = Simkit.Span.context t.spans ?parent () in
+  let landmarks =
+    Simkit.Span.with_context t.spans batch_ctx (fun () ->
+        insert_grouped t (Array.to_list routed))
+  in
+  let infos =
+    Array.mapi
+      (fun i (peer, attach_router, (r : measurement)) ->
         let info =
           {
             attach_router;
@@ -331,7 +388,8 @@ let register_measured_batch ?parent t entries =
             probes_spent = r.cost;
           }
         in
-        Hashtbl.add t.peers peer info;
+        let _, _, routers = routed.(i) in
+        add_entry t ~peer ~routers info;
         stamp t peer;
         Simkit.Trace.incr t.trace "join";
         Simkit.Trace.add_count t.trace "probe_packets" r.cost;
@@ -348,7 +406,7 @@ let register_measured_batch ?parent t entries =
   in
   Simkit.Trace.add_count t.trace "wire_bytes"
     (Wire.byte_size (Wire.Path_report_batch { reports }));
-  Log.debug (fun m -> m "join batch n=%d landmarks=%d" n (Hashtbl.length by_landmark));
+  Log.debug (fun m -> m "join batch n=%d landmarks=%d" n landmarks);
   if Simkit.Span.enabled t.spans && n > 0 then begin
     let open Simkit.Span in
     let dur =
@@ -357,10 +415,36 @@ let register_measured_batch ?parent t entries =
         0.0 entries
     in
     emit t.spans ~name:"register_batch" ~ts:(now t.spans) ~dur ~ctx:batch_ctx
-      [ ("ops", Int n); ("landmarks", Int (Hashtbl.length by_landmark)) ];
+      [ ("ops", Int n); ("landmarks", Int landmarks) ];
     advance t.spans dur
   end;
   infos
+
+(* Apply [(peer, info)] entries known to be fresh: one [insert_many] per
+   landmark, then the peers, buckets and stamps. *)
+let apply_replica_entries t ~stamp entries =
+  List.iter
+    (fun (_, info) ->
+      if not (Array.mem info.landmark t.landmark_ids) then
+        invalid_arg "Server.register_replica: unknown landmark")
+    entries;
+  let routed =
+    List.map
+      (fun (peer, info) ->
+        (peer, info.landmark, registrable_path ~landmark:info.landmark info.recorded_path))
+      entries
+  in
+  ignore (insert_grouped t routed);
+  List.iter2
+    (fun (peer, info) (_, _, routers) ->
+      add_entry t ~peer ~routers info;
+      stamp peer)
+    entries routed
+
+(* A replica write: stamped as a refresh and counted. *)
+let apply_replica_writes t entries =
+  apply_replica_entries t ~stamp:(stamp t) entries;
+  Simkit.Trace.add_count t.trace "replica_register" (List.length entries)
 
 (* Batch replication apply: [register_replica] semantics with one
    [insert_many] per landmark.  Entries whose peer is already present are
@@ -369,41 +453,58 @@ let register_measured_batch ?parent t entries =
 let register_replica_batch t entries =
   let batch_seen = Hashtbl.create 16 in
   let fresh =
-    List.filter
-      (fun (peer, _, _, _, _) ->
-        let keep = (not (Hashtbl.mem t.peers peer)) && not (Hashtbl.mem batch_seen peer) in
-        if keep then Hashtbl.add batch_seen peer ();
-        keep)
+    List.filter_map
+      (fun (peer, attach_router, landmark, recorded_path, probes_spent) ->
+        if mem t peer || Hashtbl.mem batch_seen peer then None
+        else begin
+          Hashtbl.add batch_seen peer ();
+          Some (peer, { attach_router; landmark; recorded_path; probes_spent })
+        end)
       (Array.to_list entries)
   in
-  List.iter
-    (fun (_, _, landmark, _, _) ->
-      if not (Array.mem landmark t.landmark_ids) then
-        invalid_arg "Server.register_replica: unknown landmark")
-    fresh;
-  let by_landmark = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (peer, _, landmark, path, _) ->
-      let routers = registrable_path ~landmark path in
-      match Hashtbl.find_opt by_landmark landmark with
-      | Some group -> group := (peer, routers) :: !group
-      | None ->
-          Hashtbl.add by_landmark landmark (ref [ (peer, routers) ]);
-          order := landmark :: !order)
-    fresh;
-  List.iter
-    (fun lmk ->
-      let group = Array.of_list (List.rev !(Hashtbl.find by_landmark lmk)) in
-      Registry_intf.insert_many (registry_of t lmk) group)
-    (List.rev !order);
-  List.iter
-    (fun (peer, attach_router, landmark, path, probes_spent) ->
-      Hashtbl.add t.peers peer { attach_router; landmark; recorded_path = path; probes_spent };
-      stamp t peer)
-    fresh;
-  Simkit.Trace.add_count t.trace "replica_register" (List.length fresh);
+  apply_replica_writes t fresh;
   List.length fresh
+
+(* --- Anti-entropy buckets ---------------------------------------------- *)
+
+let differing_buckets t other =
+  List.filter
+    (fun b -> not (Int64.equal t.bucket_digests.(b) other.bucket_digests.(b)))
+    (List.init digest_buckets Fun.id)
+
+let iter_bucket t b f = Peer_table.iter f t.buckets.(b)
+
+(* Union: pull in [from]'s entries in [buckets] whose peer [t] lacks, as
+   replica writes.  Entries [t] holds with other content are left to the
+   catch-up, which runs the other way. *)
+let absorb t ~from ~buckets =
+  let missing = ref [] in
+  List.iter
+    (fun b ->
+      iter_bucket from b (fun peer info ->
+          if not (mem t peer) then missing := (peer, info) :: !missing))
+    buckets;
+  let missing = List.rev !missing in
+  apply_replica_writes t missing;
+  missing
+
+(* Catch-up: within [buckets], drop what [source] lacks or holds
+   differently, then apply what [t] now lacks.  Applied entries are stamped
+   now without counting a refresh, as a restore stamps; entries [t] already
+   held keep their stamps. *)
+let repair t ~source ~buckets =
+  let stale = ref [] and shipped = ref [] in
+  List.iter
+    (fun b ->
+      iter_bucket t b (fun peer held ->
+          if info source peer <> Some held then stale := (peer, held) :: !stale);
+      iter_bucket source b (fun peer wanted ->
+          if info t peer <> Some wanted then shipped := (peer, wanted) :: !shipped))
+    buckets;
+  List.iter (fun (peer, info) -> remove_entry t ~peer info) !stale;
+  let shipped = List.rev !shipped in
+  apply_replica_entries t ~stamp:(stamp_quiet t) shipped;
+  shipped
 
 (* Landmarks ordered by hop distance from the peer's landmark: the top-up
    order when the home tree runs dry. *)
@@ -456,7 +557,7 @@ let neighbors_of_path t ~path ~k ?(exclude = fun _ -> false) () =
   end
 
 let neighbors t ~peer ~k =
-  match Hashtbl.find_opt t.peers peer with
+  match info t peer with
   | None -> raise Not_found
   | Some info ->
       (* The query joins the peer's still-open join trace when there is
@@ -495,7 +596,7 @@ let neighbors t ~peer ~k =
       reply
 
 let reverse_introductions t ~peer ~k =
-  match Hashtbl.find_opt t.peers peer with
+  match info t peer with
   | None -> raise Not_found
   | Some info ->
       let reg = registry_of t info.landmark in
@@ -510,18 +611,16 @@ let reverse_introductions t ~peer ~k =
       |> List.filteri (fun i _ -> i < k)
 
 let leave t ~peer =
-  match Hashtbl.find_opt t.peers peer with
+  match info t peer with
   | None -> raise Not_found
   | Some info ->
       close_join_span t ~peer;
-      Registry_intf.remove (registry_of t info.landmark) peer;
-      Hashtbl.remove t.peers peer;
-      Hashtbl.remove t.registered_at peer;
+      remove_entry t ~peer info;
       Log.debug (fun m -> m "leave peer=%d landmark=%d" peer info.landmark);
       Simkit.Trace.incr t.trace "leave"
 
 let handover ?rng t ~peer ~attach_router =
-  if not (Hashtbl.mem t.peers peer) then raise Not_found;
+  if not (mem t peer) then raise Not_found;
   leave t ~peer;
   let info = join ?rng t ~peer ~attach_router in
   Simkit.Trace.incr t.trace "handover";
@@ -529,16 +628,38 @@ let handover ?rng t ~peer ~attach_router =
 
 let check_invariants t =
   Hashtbl.iter (fun _ reg -> Registry_intf.check_invariants reg) t.registries;
-  Hashtbl.iter
-    (fun peer (info : peer_info) ->
+  iter_peers t (fun peer (info : peer_info) ->
       if not (Registry_intf.mem (registry_of t info.landmark) peer) then
         failwith (Printf.sprintf "peer %d missing from its landmark tree" peer);
       Array.iter
         (fun lmk ->
           if lmk <> info.landmark && Registry_intf.mem (registry_of t lmk) peer then
             failwith (Printf.sprintf "peer %d registered in a foreign tree" peer))
-        t.landmark_ids)
-    t.peers
+        t.landmark_ids);
+  (* Each bucket holds only its own peers and its digest matches a
+     recomputation from them; the buckets fold to the registries' content
+     digest. *)
+  Array.iteri
+    (fun b tbl ->
+      let recomputed =
+        Peer_table.fold
+          (fun peer (info : peer_info) acc ->
+            if bucket_of peer <> b then
+              failwith (Printf.sprintf "peer %d filed in bucket %d" peer b);
+            let routers = registrable_path ~landmark:info.landmark info.recorded_path in
+            Registry_intf.combine_digests acc (Registry_intf.entry_digest ~peer ~routers))
+          tbl Registry_intf.empty_digest
+      in
+      if not (Int64.equal recomputed t.bucket_digests.(b)) then
+        failwith (Printf.sprintf "bucket %d digest differs from its peers" b))
+    t.buckets;
+  if Array.fold_left (fun acc tbl -> acc + Peer_table.length tbl) 0 t.buckets <> t.peer_count then
+    failwith "peer count differs from the buckets";
+  let folded =
+    Array.fold_left Registry_intf.combine_digests Registry_intf.empty_digest t.bucket_digests
+  in
+  if not (Int64.equal folded (digest t)) then
+    failwith "bucket digests do not fold to the server digest"
 
 (* --- Persistence ------------------------------------------------------ *)
 
@@ -549,7 +670,7 @@ let snapshot t =
   let open Prelude.Codec.Writer in
   u8 w snapshot_version;
   list w (varint w) (Array.to_list t.landmark_ids);
-  let entries = Hashtbl.fold (fun peer info acc -> (peer, info) :: acc) t.peers [] in
+  let entries = fold_peers t (fun peer info acc -> (peer, info) :: acc) [] in
   let entries = List.sort compare entries in
   list w
     (fun (peer, info) ->
@@ -601,11 +722,9 @@ let restore ?truncate ?probe_config ?latency ?choice ?backend ?spans oracle data
                       failwith "snapshot references an unknown landmark";
                     let routers = registrable_path ~landmark path in
                     Registry_intf.insert (registry_of t landmark) ~peer ~routers;
-                    Hashtbl.add t.peers peer
+                    add_entry t ~peer ~routers
                       { attach_router; landmark; recorded_path = path; probes_spent };
-                    (* Stamp directly: a restore rebuild is not a client
-                       refresh, so it must not count as [report_refresh]. *)
-                    Hashtbl.replace t.registered_at peer (t.clock ())
+                    stamp_quiet t peer
                 | Ok _ -> failwith "snapshot entry is not a path report"
                 | Error e -> failwith e)
               entries

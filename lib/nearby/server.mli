@@ -154,6 +154,38 @@ val digest : t -> int64
     match (modulo 64-bit collisions) — the cheap anti-entropy comparison
     key; see {!Registry_intf.S.digest}. *)
 
+(** {1 Anti-entropy buckets}
+
+    Every peer falls in one of {!digest_buckets} buckets
+    ([Hashtbl.hash peer land 255]), and the server keeps, per bucket, the
+    XOR of {!Registry_intf.entry_digest} over its peers, updated in O(1)
+    on every registration and leave.  The buckets XOR to {!digest}.  Two
+    replicas compare their 256 bucket digests and exchange only the
+    entries of the buckets that differ. *)
+
+val digest_buckets : int
+(** 256: the bucket count, a constant. *)
+
+val differing_buckets : t -> t -> int list
+(** The buckets, ascending, whose digests differ between the two servers. *)
+
+val absorb : t -> from:t -> buckets:int list -> (int * peer_info) list
+(** Union: apply [from]'s entries in [buckets] whose peer this server
+    lacks, as replica writes ({!register_replica_batch} semantics: one
+    {!Registry_intf.insert_many} per landmark, stamped as a refresh,
+    counted in ["replica_register"]), and return them.  Entries this server
+    already holds, whatever their content, are left alone. *)
+
+val repair : t -> source:t -> buckets:int list -> (int * peer_info) list
+(** Catch-up: make this server's entries in [buckets] equal [source]'s.
+    Entries [source] lacks or holds with a different {!peer_info} are
+    removed; then [source]'s entries this server lacks are applied as one
+    {!Registry_intf.insert_many} per landmark, and returned (the entries a
+    deployment would ship).  Applied entries are stamped at the current
+    clock without counting a ["report_refresh"]; entries already held
+    keep their stamps.  Repairing every bucket of {!differing_buckets}
+    leaves the two servers with equal digests. *)
+
 (** {1 Report staleness}
 
     Each registration is stamped with the engine time the server learned of
@@ -172,11 +204,6 @@ val registration_time : t -> int -> float option
 
 val iter_registration_times : t -> (int -> float -> unit) -> unit
 (** [f peer stamped_at] for every registered peer — the staleness feed. *)
-
-val refresh_stamps : t -> unit
-(** Re-stamp every registered peer at the current clock.  Used after a
-    snapshot restore: the restoring replica learned all reports {e now},
-    whatever their original registration times elsewhere. *)
 
 val neighbors : t -> peer:int -> k:int -> (int * int) list
 (** [(peer, inferred distance)] ascending, at most [k], never containing the
@@ -218,8 +245,10 @@ val flush_spans : t -> unit
     without a span sink. *)
 
 val check_invariants : t -> unit
-(** Every per-landmark tree is internally consistent and every registered
-    peer is in exactly the tree of its landmark. *)
+(** Every per-landmark tree is internally consistent, every registered
+    peer is in exactly the tree of its landmark, every peer is filed in
+    its anti-entropy bucket, each bucket's digest matches a recomputation
+    from its peers, and the bucket digests XOR-fold to {!digest}. *)
 
 (** {1 Persistence}
 

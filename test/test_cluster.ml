@@ -41,7 +41,6 @@ let make_server fx () = Nearby.Server.create fx.oracle ~landmarks:fx.landmarks
 let make_cluster ?(detector_config = detector_config) fx =
   Nearby.Cluster.create ~detector_config ~transport:fx.transport
     ~client_router:fx.map.core.(0) ~make_server:(make_server fx)
-    ~restore_server:(fun data -> Nearby.Server.restore fx.oracle data)
     ~routers:fx.replica_routers ()
 
 (* Run [peers] joins through [protocol], one every [spacing] ms, and return
@@ -203,8 +202,8 @@ let test_crash_primary_fails_over () =
 
 let test_anti_entropy_heals_stale_replica () =
   (* Replica 2 is dead for the whole arrival window, so it misses every
-     fan-out write; one sync round after recovery rebuilds it from a
-     snapshot of the most complete replica. *)
+     fan-out write; one sync round after recovery repairs it, bucket by
+     bucket, from the most complete replica. *)
   let fx = fixture ~seed:25 () in
   let cluster = make_cluster fx in
   let rpc = Simkit.Rpc.create ~config:rpc_config fx.transport in
@@ -229,6 +228,205 @@ let test_anti_entropy_heals_stale_replica () =
     | Some s -> s.count = 1
     | None -> false);
   Nearby.Cluster.check_invariants cluster
+
+(* --- Anti-entropy repair ------------------------------------------------ *)
+
+(* One newcomer's measurement from [attach_router], registered verbatim on
+   [server] as a replica write. *)
+let register_measurement server ~peer ~attach_router m =
+  Nearby.Server.register_replica server ~peer ~attach_router
+    ~landmark:(Nearby.Server.measurement_landmark m)
+    ~path:(Nearby.Server.measurement_path m)
+    ~probes_spent:(Nearby.Server.measurement_probes m)
+
+(* Two measurements of distinct recorded paths: the same peer id
+   registered with either is the same-ids, different-content divergence. *)
+let two_paths fx =
+  let probe = make_server fx () in
+  let leaves = fx.map.leaves in
+  let m0 = Nearby.Server.measure probe ~attach_router:leaves.(0) in
+  let rec differing i =
+    let m = Nearby.Server.measure probe ~attach_router:leaves.(i) in
+    if Nearby.Server.measurement_path m <> Nearby.Server.measurement_path m0 then (leaves.(i), m)
+    else differing (i + 1)
+  in
+  ((leaves.(0), m0), differing 1)
+
+let test_consistent_compares_content () =
+  let fx = fixture ~seed:28 () in
+  let cluster = make_cluster fx in
+  let (r0, m0), (r1, m1) = two_paths fx in
+  for i = 0 to Nearby.Cluster.replica_count cluster - 1 do
+    let server = Nearby.Cluster.server_of cluster i in
+    register_measurement server ~peer:1 ~attach_router:r0 m0;
+    if i = 1 then register_measurement server ~peer:2 ~attach_router:r1 m1
+    else register_measurement server ~peer:2 ~attach_router:r0 m0
+  done;
+  let ids i = Nearby.Server.peer_ids (Nearby.Cluster.server_of cluster i) in
+  Alcotest.(check (list int)) "same peer ids everywhere" (ids 0) (ids 1);
+  Alcotest.(check bool) "one differing path is inconsistent" false
+    (Nearby.Cluster.consistent cluster);
+  Nearby.Cluster.sync_round cluster;
+  Alcotest.(check bool) "consistent after sync" true (Nearby.Cluster.consistent cluster);
+  Alcotest.(check bool) "replica 1 took the source's path" true
+    (Nearby.Server.info (Nearby.Cluster.server_of cluster 1) 2
+    = Nearby.Server.info (Nearby.Cluster.server_of cluster 0) 2);
+  Nearby.Cluster.check_invariants cluster
+
+let test_repair_in_place_keeps_stamps () =
+  (* Replicas 1 and 2 miss one registration.  The repair must patch the
+     very server objects the cluster started with, ship the missing entry
+     stamped at repair time without counting a client refresh, and leave
+     the entries they already held with their original stamps. *)
+  let fx = fixture ~seed:29 () in
+  let cluster = make_cluster fx in
+  let servers = Array.init 3 (Nearby.Cluster.server_of cluster) in
+  let (r0, m0), (r1, m1) = two_paths fx in
+  Array.iter (fun s -> register_measurement s ~peer:1 ~attach_router:r0 m0) servers;
+  Simkit.Engine.schedule_at fx.engine ~time:500.0 (fun () ->
+      register_measurement servers.(0) ~peer:2 ~attach_router:r1 m1);
+  Simkit.Engine.schedule_at fx.engine ~time:1_000.0 (fun () -> Nearby.Cluster.sync_round cluster);
+  Simkit.Engine.run fx.engine ~until:1_500.0;
+  let refreshes s = Simkit.Trace.counter (Nearby.Server.trace s) "report_refresh" in
+  Alcotest.(check bool) "consistent after repair" true (Nearby.Cluster.consistent cluster);
+  Alcotest.(check int) "two stragglers repaired" 2
+    (Simkit.Trace.counter (Nearby.Cluster.trace cluster) "cluster_sync_restores");
+  for i = 1 to 2 do
+    let s = Nearby.Cluster.server_of cluster i in
+    Alcotest.(check bool) (Printf.sprintf "replica %d keeps its server" i) true (s == servers.(i));
+    Alcotest.(check (option (float 1e-9)))
+      (Printf.sprintf "replica %d: held peer keeps its stamp" i)
+      (Some 0.0)
+      (Nearby.Server.registration_time s 1);
+    Alcotest.(check (option (float 1e-9)))
+      (Printf.sprintf "replica %d: repaired peer stamped at repair time" i)
+      (Some 1_000.0)
+      (Nearby.Server.registration_time s 2);
+    Alcotest.(check int) (Printf.sprintf "replica %d: repair is not a refresh" i) 1 (refreshes s)
+  done;
+  Nearby.Cluster.check_invariants cluster
+
+(* The property: replicas holding random registrations (shared, missing on
+   either side, or the same id with a different path) converge in one
+   round to the union, answer like a fresh single-node server fed that
+   union, and are charged exactly the digest vector per divergent pair
+   plus one Path_report per shipped entry. *)
+let repair_fixture = lazy (fixture ~seed:30 ())
+let repair_pool = 24
+
+(* Per replica, per pool peer: [None] absent, [Some v] registered with
+   path variant [v]. *)
+let gen_replicas =
+  QCheck.(
+    list_of_size (Gen.int_range 2 3)
+      (array_of_size (Gen.return repair_pool) (option ~ratio:0.7 (int_range 0 1))))
+
+let prop_sync_round_repairs_to_union replicas =
+  let fx = Lazy.force repair_fixture in
+  let replicas = Array.of_list replicas in
+  let n = Array.length replicas in
+  let probe = make_server fx () in
+  let leaves = fx.map.leaves in
+  let variant peer v =
+    let attach_router = leaves.(((2 * peer) + v) mod Array.length leaves) in
+    (attach_router, Nearby.Server.measure probe ~attach_router)
+  in
+  let engine = Simkit.Engine.create () in
+  let transport = Simkit.Transport.create engine fx.oracle in
+  let metrics = Simkit.Metrics.create () in
+  Simkit.Transport.set_wire_sinks ~metrics transport;
+  let cluster =
+    Nearby.Cluster.create ~detector_config ~transport ~client_router:fx.map.core.(0)
+      ~make_server:(make_server fx)
+      ~routers:(Array.sub fx.replica_routers 0 n)
+      ()
+  in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun peer choice ->
+          Option.iter
+            (fun v ->
+              let attach_router, m = variant peer v in
+              register_measurement (Nearby.Cluster.server_of cluster i) ~peer ~attach_router m)
+            choice)
+        row)
+    replicas;
+  (* The expected union: the source (most peers, ties to the lowest id)
+     keeps its own entries; a peer it lacks comes from the first replica
+     holding it. *)
+  let count row = Array.fold_left (fun acc c -> if c = None then acc else acc + 1) 0 row in
+  let source = ref 0 in
+  Array.iteri (fun i row -> if count row > count replicas.(!source) then source := i) replicas;
+  let union =
+    Array.init repair_pool (fun peer ->
+        match replicas.(!source).(peer) with
+        | Some v -> Some v
+        | None ->
+            Array.fold_left (fun acc row -> if acc = None then row.(peer) else acc) None replicas)
+  in
+  let report_bytes peer v =
+    let path = Nearby.Server.measurement_path (snd (variant peer v)) in
+    Nearby.Wire.byte_size (Nearby.Wire.Path_report { peer; path })
+  in
+  let expected_bytes = ref 0 in
+  Array.iteri
+    (fun peer u ->
+      match (u, replicas.(!source).(peer)) with
+      | Some v, None -> expected_bytes := !expected_bytes + report_bytes peer v
+      | _ -> ())
+    union;
+  Array.iteri
+    (fun i row ->
+      if i <> !source && row <> union then begin
+        expected_bytes := !expected_bytes + (Nearby.Server.digest_buckets * 8);
+        Array.iteri
+          (fun peer u ->
+            match u with
+            | Some v when row.(peer) <> u -> expected_bytes := !expected_bytes + report_bytes peer v
+            | _ -> ())
+          union
+      end)
+    replicas;
+  Nearby.Cluster.sync_round cluster;
+  let oracle = make_server fx () in
+  Array.iteri
+    (fun peer u ->
+      Option.iter
+        (fun v ->
+          let attach_router, m = variant peer v in
+          register_measurement oracle ~peer ~attach_router m)
+        u)
+    union;
+  let union_ids = Nearby.Server.peer_ids oracle in
+  let digest = Nearby.Server.digest oracle in
+  let snapshot_bytes =
+    Simkit.Metrics.series metrics
+    |> List.fold_left
+         (fun acc (name, labels, _) ->
+           if name = "wire_bytes_total" && List.assoc_opt "kind" labels = Some "snapshot" then
+             acc + Simkit.Metrics.counter metrics name ~labels
+           else acc)
+         0
+  in
+  Nearby.Cluster.check_invariants cluster;
+  List.for_all
+    (fun i ->
+      let s = Nearby.Cluster.server_of cluster i in
+      Int64.equal (Nearby.Server.digest s) digest
+      && Nearby.Server.peer_ids s = union_ids
+      && List.for_all
+           (fun peer ->
+             Nearby.Server.neighbors s ~peer ~k:5 = Nearby.Server.neighbors oracle ~peer ~k:5)
+           union_ids)
+    (List.init n Fun.id)
+  && snapshot_bytes = !expected_bytes
+  && Simkit.Trace.counter (Nearby.Cluster.trace cluster) "cluster_sync_bytes" = !expected_bytes
+
+let test_sync_round_repairs_to_union =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+    (QCheck.Test.make ~name:"sync_round repairs random replicas to the union" ~count:60
+       gen_replicas prop_sync_round_repairs_to_union)
 
 let test_joins_under_loss_always_terminate () =
   (* The silent-stall regression (20% loss): every join must invoke exactly
@@ -343,6 +541,9 @@ let suite =
       Alcotest.test_case "crash primary fails over" `Quick test_crash_primary_fails_over;
       Alcotest.test_case "anti-entropy heals stale replica" `Quick
         test_anti_entropy_heals_stale_replica;
+      Alcotest.test_case "consistent compares content" `Quick test_consistent_compares_content;
+      Alcotest.test_case "repair in place keeps stamps" `Quick test_repair_in_place_keeps_stamps;
+      test_sync_round_repairs_to_union;
       Alcotest.test_case "joins under 20% loss terminate" `Quick
         test_joins_under_loss_always_terminate;
       Alcotest.test_case "single-cluster guards" `Quick test_single_cluster_guards;

@@ -58,7 +58,6 @@ let test_divergence_edges_once_per_episode () =
   let cluster =
     Nearby.Cluster.create ~detector_config ~recorder ~metrics ~transport:fx.transport
       ~client_router:fx.map.core.(0) ~make_server:(make_server fx)
-      ~restore_server:(fun data -> Nearby.Server.restore fx.oracle data)
       ~routers:fx.replica_routers ()
   in
   Alcotest.(check (list int)) "healthy cluster is consistent" []
