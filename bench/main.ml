@@ -537,7 +537,7 @@ let run_obs ~full =
         (Array.mapi
            (fun i labeled ->
              (match
-                Simkit.Trace.sketch_quantile
+                Simkit.Trace.quantile
                   (Nearby.Server.trace (Nearby.Cluster.server_of cluster i))
                   "join_ms" 0.99
               with

@@ -1,7 +1,7 @@
 (* Timing middleware over any registry backend.
 
    [make] wraps a packed [Registry_intf.S] so every insert/remove/query is
-   timed with a monotonic-enough wall clock and folded into a shared
+   timed with the monotonic ns clock and folded into a shared
    [Simkit.Trace] under uniform stream names — the same names for [tree],
    [naive], [dht], [super] and [sharded:N], which is what lets the metrics
    exporter and `bench obs` report identical per-backend latency quantiles.
@@ -23,13 +23,7 @@ let remove_ns = "registry_remove_ns"
 let query_ns = "registry_query_ns"
 let query_candidates = "registry_query_candidates"
 
-(* Unix.gettimeofday is microsecond-granular; single sub-microsecond calls
-   quantize to 0 or 1000 ns, which the quantile sketches tolerate (the
-   distribution is what matters, and slow outliers are exactly what
-   survives quantization). *)
-let default_clock () = Unix.gettimeofday () *. 1e9
-
-let make ?(clock = default_clock) ?(spans = Simkit.Span.noop) ?labeled ~metrics
+let make ?(clock = Prelude.Clock.now_ns) ?(spans = Simkit.Span.noop) ?labeled ~metrics
     (module B : Registry_intf.S) : (module Registry_intf.S) =
   (module struct
     type t = B.t

@@ -34,7 +34,7 @@ val make :
   (module Registry_intf.S) ->
   (module Registry_intf.S)
 (** [make ~metrics b] is [b] with timed hot paths.  [clock] (default
-    [Unix.gettimeofday]-based, nanoseconds) is injectable for
+    {!Prelude.Clock.now_ns}, nanoseconds) is injectable for
     deterministic tests; [spans] (default {!Simkit.Span.noop}) receives
     one per-operation span parented on the ambient context.  [labeled]
     additionally mirrors every sample dimensionally under the same stream

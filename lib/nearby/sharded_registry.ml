@@ -75,7 +75,6 @@ module Make
   let shard_query_ns = "registry_shard_query_ns"
   let shard_members = "registry_shard_members"
   let shard_labels = Array.init shard_count (fun s -> [ ("shard", string_of_int s) ])
-  let clock () = Unix.gettimeofday () *. 1e9
 
   (* [n] amortized samples of [elapsed] total: batch visits then weigh the
      same as the singleton visits they replaced, so per-shard quantiles
@@ -144,9 +143,9 @@ module Make
     (match Config.metrics with
     | None -> Inner.insert t.shards.(s) ~peer ~routers
     | Some _ ->
-        let t0 = clock () in
+        let t0 = Prelude.Clock.now_ns () in
         Inner.insert t.shards.(s) ~peer ~routers;
-        observe_shard shard_insert_ns s ~elapsed:(clock () -. t0) ~n:1);
+        observe_shard shard_insert_ns s ~elapsed:(Prelude.Clock.now_ns () -. t0) ~n:1);
     Hashtbl.add t.home peer s;
     set_occupancy t s
 
@@ -188,9 +187,9 @@ module Make
               (match Config.metrics with
               | None -> Inner.insert_many t.shards.(s) arr
               | Some _ ->
-                  let t0 = clock () in
+                  let t0 = Prelude.Clock.now_ns () in
                   Inner.insert_many t.shards.(s) arr;
-                  observe_shard shard_insert_ns s ~elapsed:(clock () -. t0)
+                  observe_shard shard_insert_ns s ~elapsed:(Prelude.Clock.now_ns () -. t0)
                     ~n:(Array.length arr));
               Array.iter (fun (peer, _) -> Hashtbl.add t.home peer s) arr;
               set_occupancy t s)
@@ -248,9 +247,9 @@ module Make
         match Config.metrics with
         | None -> Inner.query_into t.shards.(s) ~routers ~best ~seen ~exclude
         | Some _ ->
-            let t0 = clock () in
+            let t0 = Prelude.Clock.now_ns () in
             Inner.query_into t.shards.(s) ~routers ~best ~seen ~exclude;
-            observe_shard shard_query_ns s ~elapsed:(clock () -. t0) ~n:1
+            observe_shard shard_query_ns s ~elapsed:(Prelude.Clock.now_ns () -. t0) ~n:1
       in
       let first = shard_of_router routers.(0) in
       visit first;
@@ -274,9 +273,9 @@ module Make
           let elapsed = Array.make shard_count 0.0 in
           let timing = Option.is_some Config.metrics in
           Prelude.Domain_pool.run pool shard_count (fun s ->
-              let t0 = if timing then clock () else 0.0 in
+              let t0 = if timing then Prelude.Clock.now_ns () else 0.0 in
               parts.(s) <- Inner.query t.shards.(s) ~routers ~k ~exclude ();
-              if timing then elapsed.(s) <- clock () -. t0);
+              if timing then elapsed.(s) <- Prelude.Clock.now_ns () -. t0);
           if timing then
             Array.iteri (fun s e -> observe_shard shard_query_ns s ~elapsed:e ~n:1) elapsed;
           Array.iter (fun part -> List.iter (fun (p, d) -> Topk.offer best (d, p)) part) parts
@@ -299,9 +298,9 @@ module Make
           let elapsed = Array.make shard_count 0.0 in
           let timing = Option.is_some Config.metrics in
           Prelude.Domain_pool.run pool shard_count (fun s ->
-              let t0 = if timing then clock () else 0.0 in
+              let t0 = if timing then Prelude.Clock.now_ns () else 0.0 in
               parts.(s) <- Inner.query_many t.shards.(s) ~queries ~k ~exclude ();
-              if timing then elapsed.(s) <- clock () -. t0);
+              if timing then elapsed.(s) <- Prelude.Clock.now_ns () -. t0);
           if timing then
             Array.iteri (fun s e -> observe_shard shard_query_ns s ~elapsed:e ~n) elapsed;
           Array.init n (fun qi ->

@@ -43,8 +43,6 @@ type utilization = {
   tasks : int;
 }
 
-let now_ns () = Unix.gettimeofday () *. 1e9
-
 let no_job (_ : int) = ()
 
 (* Claim and run tasks of generation [gen] until none remain.  The mutex is
@@ -55,14 +53,14 @@ let claim t gen =
     t.next_task <- i + 1;
     let fn = t.run_fn in
     Mutex.unlock t.mutex;
-    let started = now_ns () in
+    let started = Clock.now_ns () in
     let failure =
       try
         fn i;
         None
       with e -> Some (e, Printexc.get_raw_backtrace ())
     in
-    let elapsed = now_ns () -. started in
+    let elapsed = Clock.now_ns () -. started in
     Mutex.lock t.mutex;
     (match failure with
     | Some _ when t.exn = None -> t.exn <- failure
@@ -102,7 +100,7 @@ let create ?(domains = Domain.recommended_domain_count ()) () =
       stop = false;
       busy = false;
       domains = [||];
-      window_start = now_ns ();
+      window_start = Clock.now_ns ();
       busy_ns = 0.0;
       jobs = 0;
       tasks = 0;
@@ -118,11 +116,11 @@ let size (t : t) = Array.length t.domains + 1
 let run t n f =
   if n > 0 then
     if t.busy || n = 1 || Array.length t.domains = 0 then begin
-      let started = now_ns () in
+      let started = Clock.now_ns () in
       for i = 0 to n - 1 do
         f i
       done;
-      let elapsed = now_ns () -. started in
+      let elapsed = Clock.now_ns () -. started in
       Mutex.lock t.mutex;
       t.busy_ns <- t.busy_ns +. elapsed;
       t.tasks <- t.tasks + n;
@@ -162,7 +160,7 @@ let run t n f =
    pool that never ran a job report pure idle. *)
 let utilization t =
   Mutex.lock t.mutex;
-  let wall = Float.max 0.0 (now_ns () -. t.window_start) in
+  let wall = Float.max 0.0 (Clock.now_ns () -. t.window_start) in
   let capacity = float_of_int (Array.length t.domains + 1) *. wall in
   let busy = Float.min t.busy_ns capacity in
   let u =
@@ -180,7 +178,7 @@ let utilization t =
 
 let reset_utilization t =
   Mutex.lock t.mutex;
-  t.window_start <- now_ns ();
+  t.window_start <- Clock.now_ns ();
   t.busy_ns <- 0.0;
   t.jobs <- 0;
   t.tasks <- 0;

@@ -3,21 +3,26 @@
    Log-bucketed in the DDSketch style: bucket [i] covers the value range
    (gamma^(i-1), gamma^i] with gamma = (1+alpha)/(1-alpha), and a bucket
    reports the value 2*gamma^i/(gamma+1) — the point whose worst-case
-   relative error against anything in the bucket is exactly alpha.  Unlike
-   the P^2 estimator ({!Quantile}), two sketches with the same alpha merge
-   by adding bucket counts, which is what lets per-shard and per-replica
-   latency streams roll up into one fleet-wide tail.
+   relative error against anything in the bucket is exactly alpha.  Two
+   sketches with the same alpha merge by adding bucket counts, which is
+   what lets per-shard and per-replica latency streams roll up into one
+   fleet-wide tail.
 
-   Buckets live in a hashtable keyed by index: latency distributions touch
-   a few hundred buckets at most (alpha = 0.01 spans 1ns..1h in ~2100
-   buckets, of which a real stream populates a narrow band), so sparse
-   storage beats a dense array over the full index range. *)
+   Counts live in a dense [int array]: slot [i - offset] holds bucket [i],
+   and [lo]/[hi] bracket the populated buckets.  A latency stream fills a
+   narrow contiguous band (alpha = 0.01 spans 1 ms..3 s in ~400 buckets),
+   so a dense array is smaller than a hashtable over the same band, and a
+   quantile read is one walk over [lo, hi] with no sort.  An index outside
+   the array doubles it and re-centres the populated band. *)
 
 type t = {
   alpha : float;
   gamma : float;
   log_gamma : float;
-  buckets : (int, int) Hashtbl.t;
+  mutable counts : int array;  (* counts.(i - offset) = bucket i *)
+  mutable offset : int;
+  mutable lo : int;  (* lowest populated bucket; lo > hi when none is *)
+  mutable hi : int;
   mutable zero : int;  (* NaN and values below the trackable floor *)
   mutable total : int;
   mutable min_v : float;
@@ -31,6 +36,13 @@ let default_alpha = 0.01
    zero bucket. *)
 let min_trackable = 1e-9
 
+(* Values above this (and +inf) share the top bucket, which bounds the
+   dense array at a few thousand slots whatever the stream holds. *)
+let max_trackable = 1e18
+
+(* The first populated bucket allocates this many slots. *)
+let initial_slots = 16
+
 let create ?(alpha = default_alpha) () =
   if not (alpha > 0.0 && alpha < 1.0) then
     invalid_arg "Sketch.create: alpha outside (0, 1)";
@@ -39,7 +51,10 @@ let create ?(alpha = default_alpha) () =
     alpha;
     gamma;
     log_gamma = log gamma;
-    buckets = Hashtbl.create 64;
+    counts = [||];
+    offset = 0;
+    lo = max_int;
+    hi = min_int;
     zero = 0;
     total = 0;
     min_v = infinity;
@@ -50,23 +65,53 @@ let alpha t = t.alpha
 let count t = t.total
 let is_empty t = t.total = 0
 
-let bucket_of t v = int_of_float (Float.ceil (log v /. t.log_gamma))
+let bucket_of t v = int_of_float (Float.ceil (log (Float.min v max_trackable) /. t.log_gamma))
 let value_of t i = 2.0 *. (t.gamma ** float_of_int i) /. (t.gamma +. 1.0)
+
+(* Make buckets [lo, hi] addressable.  An empty sketch re-centres its array
+   in place; otherwise the array doubles until the union of the populated
+   band and [lo, hi] fits, centred in the new array. *)
+let reserve t lo hi =
+  let len = Array.length t.counts in
+  if lo < t.offset || hi >= t.offset + len then begin
+    let empty = t.lo > t.hi in
+    let lo' = if empty then lo else min lo t.lo in
+    let hi' = if empty then hi else max hi t.hi in
+    let span = hi' - lo' + 1 in
+    if empty && span <= len then t.offset <- lo' - ((len - span) / 2)
+    else begin
+      let n = ref (max initial_slots (2 * len)) in
+      while !n < span do
+        n := 2 * !n
+      done;
+      let counts = Array.make !n 0 in
+      let offset = lo' - ((!n - span) / 2) in
+      if not empty then
+        Array.blit t.counts (t.lo - t.offset) counts (t.lo - offset) (t.hi - t.lo + 1);
+      t.counts <- counts;
+      t.offset <- offset
+    end
+  end
 
 let add t v =
   let v = if Float.is_nan v then 0.0 else v in
   if v <= min_trackable then t.zero <- t.zero + 1
   else begin
     let i = bucket_of t v in
-    let c = try Hashtbl.find t.buckets i with Not_found -> 0 in
-    Hashtbl.replace t.buckets i (c + 1)
+    reserve t i i;
+    let slot = i - t.offset in
+    t.counts.(slot) <- t.counts.(slot) + 1;
+    if i < t.lo then t.lo <- i;
+    if i > t.hi then t.hi <- i
   end;
   t.total <- t.total + 1;
   if v < t.min_v then t.min_v <- v;
   if v > t.max_v then t.max_v <- v
 
 let clear t =
-  Hashtbl.reset t.buckets;
+  if t.lo <= t.hi then Array.fill t.counts (t.lo - t.offset) (t.hi - t.lo + 1) 0;
+  t.lo <- max_int;
+  t.hi <- min_int;
   t.zero <- 0;
   t.total <- 0;
   t.min_v <- infinity;
@@ -75,11 +120,15 @@ let clear t =
 let merge_into ~into src =
   if into.alpha <> src.alpha then
     invalid_arg "Sketch.merge_into: relative-error bounds differ";
-  Hashtbl.iter
-    (fun i c ->
-      let prev = try Hashtbl.find into.buckets i with Not_found -> 0 in
-      Hashtbl.replace into.buckets i (prev + c))
-    src.buckets;
+  if src.lo <= src.hi then begin
+    reserve into src.lo src.hi;
+    for i = src.lo to src.hi do
+      let slot = i - into.offset in
+      into.counts.(slot) <- into.counts.(slot) + src.counts.(i - src.offset)
+    done;
+    if src.lo < into.lo then into.lo <- src.lo;
+    if src.hi > into.hi then into.hi <- src.hi
+  end;
   into.zero <- into.zero + src.zero;
   into.total <- into.total + src.total;
   if src.min_v < into.min_v then into.min_v <- src.min_v;
@@ -93,21 +142,19 @@ let quantile t q =
     let rank = int_of_float (q *. float_of_int (t.total - 1)) in
     if rank < t.zero then Float.max 0.0 t.min_v
     else begin
-      let keys =
-        Hashtbl.fold (fun i _ acc -> i :: acc) t.buckets []
-        |> List.sort compare
-      in
-      let rec walk seen = function
-        | [] -> t.max_v
-        | i :: rest ->
-            let seen = seen + Hashtbl.find t.buckets i in
-            if seen > rank then
-              (* Clamp to the observed extremes: the bound only tightens. *)
-              Float.min t.max_v (Float.max t.min_v (value_of t i))
-            else walk seen rest
-      in
-      walk t.zero keys
+      let i = ref t.lo and seen = ref (t.zero + t.counts.(t.lo - t.offset)) in
+      while !seen <= rank do
+        incr i;
+        seen := !seen + t.counts.(!i - t.offset)
+      done;
+      (* Clamp to the observed extremes: the bound only tightens. *)
+      Float.min t.max_v (Float.max t.min_v (value_of t !i))
     end
   end
 
-let buckets_used t = Hashtbl.length t.buckets + if t.zero > 0 then 1 else 0
+let buckets_used t =
+  let used = ref (if t.zero > 0 then 1 else 0) in
+  for i = t.lo to t.hi do
+    if t.counts.(i - t.offset) > 0 then incr used
+  done;
+  !used

@@ -1,23 +1,24 @@
 (** Mergeable quantile sketch with a bounded relative error.
 
-    A log-bucketed (DDSketch-style) sketch: values land in geometric
-    buckets sized so any reported quantile is within a relative error of
-    [alpha] of the true order statistic — [|estimate - exact| <= alpha *
-    exact] — regardless of how many samples were added.  Two sketches
-    built with the same [alpha] merge exactly (bucket counts add), so
-    per-shard, per-replica and per-backend latency streams roll up into
-    fleet-wide tails that carry the {e same} error bound as each input.
+    A log-bucketed (DDSketch-style, Masson et al., VLDB 2019) sketch:
+    values land in geometric buckets sized so any reported quantile is
+    within a relative error of [alpha] of the true order statistic —
+    [|estimate - exact| <= alpha * exact] — regardless of how many samples
+    were added.  Two sketches built with the same [alpha] merge exactly
+    (bucket counts add), so per-shard, per-replica and per-backend latency
+    streams roll up into fleet-wide tails that carry the {e same} error
+    bound as each input.  This is the one quantile estimator of the code
+    base: {!Simkit.Trace} streams and {!Simkit.Timeseries} windows read
+    every quantile from one.
 
-    This is the property the P^2 estimator ({!Quantile}) lacks: P^2 keeps
-    five marker points and cannot be combined after the fact.
-    {!Simkit.Trace} therefore runs both — P^2 for cheap live reads, a
-    sketch for anything that must merge. *)
+    Counts are kept in a dense array over the populated bucket band, so
+    {!quantile} is one allocation-free walk. *)
 
 type t
 
 val default_alpha : float
 (** 0.01 — a 1% relative-error bound, the default for {!create} and the
-    bound documented for every merged trace quantile. *)
+    bound documented for every trace and timeseries quantile. *)
 
 val create : ?alpha:float -> unit -> t
 (** [alpha] is the relative-error bound; defaults to {!default_alpha}.
@@ -25,7 +26,9 @@ val create : ?alpha:float -> unit -> t
 
 val add : t -> float -> unit
 (** Record one value.  NaN, negatives and values below 1e-9 share an exact
-    zero bucket (mirroring {!Histogram.log2_bucket}'s treatment). *)
+    zero bucket (mirroring {!Histogram.log2_bucket}'s treatment); values
+    above 1e18 (and +inf) share the top bucket, where the bound no longer
+    holds. *)
 
 val quantile : t -> float -> float
 (** [quantile t q] for [q] in [\[0, 1\]]: an estimate within relative
@@ -39,7 +42,8 @@ val merge_into : into:t -> t -> unit
     @raise Invalid_argument when the two sketches' [alpha] differ. *)
 
 val clear : t -> unit
-(** Drop all counts in place (handles stay valid). *)
+(** Drop all counts in place (handles stay valid; the bucket array is
+    kept for the refill). *)
 
 val alpha : t -> float
 (** The relative-error bound this sketch was built with. *)
@@ -48,4 +52,4 @@ val count : t -> int
 val is_empty : t -> bool
 
 val buckets_used : t -> int
-(** Occupied buckets — the sketch's memory footprint in cells. *)
+(** Buckets holding at least one sample, the zero bucket included. *)

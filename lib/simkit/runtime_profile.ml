@@ -32,9 +32,7 @@ type t = {
   mutable pool : Prelude.Domain_pool.utilization option;
 }
 
-let default_clock () = Unix.gettimeofday () *. 1e9
-
-let create ?(clock = default_clock) () =
+let create ?(clock = Prelude.Clock.now_ns) () =
   {
     clock;
     phases = Hashtbl.create 8;

@@ -30,7 +30,7 @@ type t
 
 val create : ?clock:(unit -> float) -> unit -> t
 (** [clock] returns nanoseconds (monotonicity is the caller's problem);
-    defaults to wall time. *)
+    defaults to {!Prelude.Clock.now_ns}. *)
 
 val phase : t -> string -> (unit -> 'a) -> 'a
 (** [phase t name f] runs [f], accumulating its wall time and GC deltas

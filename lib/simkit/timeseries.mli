@@ -4,8 +4,10 @@
     "what did this stream look like {e per window}": each named series
     chops the caller-supplied clock (engine time, usually) into windows of
     [window_ms] and keeps count / rate / mean / p50 / p90 / p99 per
-    window, in a bounded ring of the most recent [capacity] windows.  This
-    is the substrate {!Slo} burn rates are evaluated over.
+    window — the quantiles from one {!Prelude.Sketch} per window, the
+    estimator {!Trace} streams use — in a bounded ring of the most recent
+    [capacity] windows.  This is the substrate {!Slo} burn rates are
+    evaluated over.
 
     Windows are half-open: a sample at exactly [k * window_ms] lands in
     window [k].  Only windows that received samples are materialized;
@@ -24,8 +26,11 @@ type summary = {
   count : int;
   rate_per_s : float;  (** [count] scaled to events per second. *)
   mean : float;
-  p50 : float;  (** P² estimates; [nan] on a window with no samples (never
-                    serialized — absent windows are [None]). *)
+  p50 : float;
+      (** Sketch estimates, within relative error
+          {!Prelude.Sketch.default_alpha} of the window's exact order
+          statistic; [nan] on a window with no samples (never serialized —
+          absent windows are [None]). *)
   p90 : float;
   p99 : float;
 }

@@ -2,10 +2,14 @@
 
     Named counters and named streaming statistics, written by protocol code
     and read by experiment reports.  Each observe stream is backed by a
-    Welford accumulator, P² quantile sketches (p50/p90/p99) and a
-    power-of-two histogram, so tail latencies are available from O(1) memory
-    per stream.  Purely in-memory; rendering is the caller's business (see
-    {!Export} for the JSON / Prometheus serializations). *)
+    Welford accumulator, one mergeable quantile sketch ({!Prelude.Sketch},
+    relative error {!Prelude.Sketch.default_alpha}), a power-of-two
+    histogram and per-bucket exemplars, so tail latencies are available
+    from bounded memory per stream.  Every quantile read — {!summary},
+    {!quantile}, the {!Export} serializations — comes from the sketch, on
+    live and merged streams alike, so one stream has one answer.  Purely
+    in-memory; rendering is the caller's business (see {!Export} for the
+    JSON / Prometheus serializations). *)
 
 type t
 
@@ -17,9 +21,9 @@ type summary = {
   min : float option;  (** [None] when the stream is empty. *)
   max : float option;
   p50 : float;
-      (** P² estimate on a live stream, sketch estimate (relative error
-          {!Prelude.Sketch.default_alpha}) once the stream has absorbed a
-          {!merge_into}; [nan] when the stream is empty. *)
+      (** {!quantile}[ 0.5]: the sketch estimate, within relative error
+          {!Prelude.Sketch.default_alpha} of the exact order statistic;
+          [nan] when the stream is empty. *)
   p90 : float;
   p99 : float;
 }
@@ -63,26 +67,12 @@ val stat : t -> string -> Prelude.Stats.t option
 val summary : t -> string -> summary option
 
 val quantile : t -> string -> float -> float option
-(** [quantile t name q] for [q] in {0.5, 0.9, 0.99}; [None] for an unknown
-    stream, [nan] before the first observation.  On a stream that has
-    absorbed a {!merge_into} the estimate comes from the mergeable sketch
-    (relative error at most {!Prelude.Sketch.default_alpha}); on a live
-    stream it is the P² estimate, exact while the stream is small.
-    @raise Invalid_argument for any other [q] on a live stream (merged
-    streams answer any [q] in [\[0, 1\]]). *)
-
-val sketch : t -> string -> Prelude.Sketch.t option
-(** The stream's mergeable quantile sketch (fed on every {!observe}). *)
-
-val sketch_quantile : t -> string -> float -> float option
-(** Any [q] in [\[0, 1\]] from the stream's sketch, live or merged:
-    within relative error {!Prelude.Sketch.default_alpha} of the true
-    quantile.  [None] for unknown streams, [nan] before the first
-    observation. *)
-
-val is_merged : t -> string -> bool
-(** Whether the stream has absorbed foreign samples via {!merge_into}
-    (and therefore reads quantiles from its sketch). *)
+(** [quantile t name q] for any [q] in [\[0, 1\]], from the stream's
+    sketch: within relative error {!Prelude.Sketch.default_alpha} of the
+    exact order statistic of rank [floor (q * (count - 1))], whether or not
+    the stream has absorbed a {!merge_into}.  [None] for an unknown stream,
+    [nan] before the first observation.
+    @raise Invalid_argument on [q] outside [\[0, 1\]]. *)
 
 val hist : t -> string -> Prelude.Histogram.t option
 (** Power-of-two histogram of the stream, bucketed by
@@ -101,11 +91,10 @@ val summaries : t -> (string * summary) list
 
 val merge_into : ?map_name:(string -> string) -> into:t -> t -> unit
 (** [merge_into ~into src] folds every counter and stream of [src] into
-    [into], leaving [src] unchanged: counters add, Welford accumulators
-    and log2 histograms combine losslessly, quantile sketches merge within
-    their shared error bound, and exemplars keep [src]'s latest per
-    bucket.  Streams that absorb a merge are flagged (see {!is_merged})
-    and answer {!quantile}/{!summary} from the sketch from then on.
+    [into], leaving [src] unchanged: counters add, Welford accumulators,
+    log2 histograms and quantile sketches combine losslessly (a merged
+    stream's quantiles equal those of one stream fed the concatenated
+    samples, bit for bit), and exemplars keep [src]'s latest per bucket.
     [map_name] renames each counter/stream on the way in — the hook
     {!Metrics.merge_trace} uses to file a whole trace under a label set.
     This is the fleet roll-up primitive: scrape each replica's trace into

@@ -132,6 +132,50 @@ let test_instrumented_artifacts () =
   in
   Alcotest.(check bool) "flight recorder saw the shed" true (sheds <> [])
 
+(* The run-level invariants of [nearby_sim load --quick --arrival flash
+   --shed-policy slo]: a flash crowd at 2x saturation through the SLO
+   shedder.  With those flags the CLI runs [quick_config] unchanged. *)
+let test_cli_flash_slo_invariants () =
+  let config = Eval.Load_exp.quick_config in
+  let service = config.Eval.Load_exp.service_rate_per_s in
+  Alcotest.(check bool) "quick_config is the CLI's flash/slo run" true
+    (config.Eval.Load_exp.policy = "slo"
+    && config.Eval.Load_exp.arrival
+       = Simkit.Workload.Flash
+           {
+             base_per_s = 0.25 *. service;
+             spike_per_s = 2.0 *. service;
+             spike_at_s = 2.0;
+             spike_len_s = 4.0;
+           });
+  let r, art = Eval.Load_exp.run_instrumented config in
+  Alcotest.(check bool)
+    (Printf.sprintf "over-saturated: %.2f >= 1.5" r.Eval.Load_exp.saturation)
+    true
+    (r.Eval.Load_exp.saturation >= 1.5);
+  Alcotest.(check (float 0.0)) "every admitted join completes" 1.0
+    r.Eval.Load_exp.completion_rate;
+  let shed_total = List.fold_left (fun acc (_, n) -> acc + n) 0 r.Eval.Load_exp.shed in
+  Alcotest.(check int) "admission_shed_total{reason=\"slo\"} = every shed" shed_total
+    (Simkit.Metrics.counter art.Eval.Load_exp.metrics "admission_shed_total"
+       ~labels:[ ("reason", "slo") ]);
+  Alcotest.(check bool) "the shedder opened" true (r.Eval.Load_exp.slo_sheds_opened >= 1);
+  let details =
+    List.filter_map
+      (fun (e : Simkit.Flight_recorder.event) ->
+        if e.kind = "admission" then Some e.detail else None)
+      (Simkit.Flight_recorder.events art.Eval.Load_exp.recorder)
+  in
+  List.iter
+    (fun edge ->
+      Alcotest.(check bool) (edge ^ " flight event") true
+        (List.exists (String.starts_with ~prefix:edge) details))
+    [ "shed open:"; "shed close:" ];
+  Alcotest.(check bool)
+    (Printf.sprintf "admitted p99 %.0f ms within the %.0f ms budget" r.Eval.Load_exp.join_p99_ms
+       r.Eval.Load_exp.slo_budget_ms)
+    true r.Eval.Load_exp.p99_within_budget
+
 let test_scale_smoke () =
   (* ~10k arrivals under-saturation: a healthy fleet sheds nothing and the
      memoized measurement path keeps this fast. *)
@@ -164,4 +208,5 @@ let suite =
       Alcotest.test_case "result json shape" `Slow test_result_json_shape;
       Alcotest.test_case "instrumented artifacts" `Slow test_instrumented_artifacts;
       Alcotest.test_case "scale smoke" `Slow test_scale_smoke;
+      Alcotest.test_case "cli flash/slo invariants" `Slow test_cli_flash_slo_invariants;
     ] )

@@ -118,6 +118,64 @@ let test_prometheus_labeled () =
   check_has "json nested labels" json "\"labels\"";
   check_has "json overflow counter" json "\"overflow_routed\""
 
+(* One stream has one answer: every reader of a series' quantiles — the
+   summary, both quantile accessors, the JSON export and the Prometheus
+   exposition — reports the same sketch read, on a live stream and after it
+   absorbs a merge. *)
+let test_one_answer_per_stream () =
+  let labels = [ ("replica", "0") ] in
+  let key = Metrics.canonical_key "join_ms" labels in
+  let pareto seed n =
+    let rng = Prelude.Prng.create seed in
+    List.init n (fun _ -> 1.0 /. (1.0 -. Prelude.Prng.float rng 0.999))
+  in
+  let m = Metrics.create () in
+  List.iter (Metrics.observe m "join_ms" ~labels) (pareto 7 2_000);
+  let rendered v = Json.to_string (Json.Number v) in
+  let check_agree stage =
+    let s = Option.get (Metrics.summary m "join_ms" ~labels) in
+    let json = Json.parse_exn (Json.to_string (Export.labeled_json m)) in
+    let stats =
+      match Json.member "series" json |> Option.map Json.as_list with
+      | Some (Some series) ->
+          List.find_map
+            (fun e ->
+              if Json.member "kind" e = Some (Json.String "stream") then
+                Json.member "stats" e
+              else None)
+            series
+          |> Option.get
+      | _ -> Alcotest.fail "no series in labeled json"
+    in
+    let prom = Export.prometheus_labeled [ ("fleet", m) ] in
+    List.iter
+      (fun (q, label, field, from_summary) ->
+        let what = Printf.sprintf "%s p%s" stage field in
+        let expect = Option.get (Metrics.quantile m "join_ms" ~labels q) in
+        Alcotest.(check (float 0.0)) (what ^ ": summary") expect from_summary;
+        Alcotest.(check (float 0.0)) (what ^ ": Trace.quantile") expect
+          (Option.get (Trace.quantile (Metrics.trace m) key q));
+        Alcotest.(check (option (float 0.0))) (what ^ ": labeled json")
+          (Some (float_of_string (rendered expect)))
+          (Option.bind (Json.member ("p" ^ field) stats) Json.as_float);
+        check_has (what ^ ": prometheus") prom
+          (Printf.sprintf "nearby_fleet_join_ms{replica=\"0\",quantile=\"%s\"} %s\n" label
+             (rendered expect)))
+      [ (0.5, "0.5", "50", s.p50); (0.9, "0.9", "90", s.p90); (0.99, "0.99", "99", s.p99) ];
+    (* Any q, not just the three exported ones. *)
+    match Trace.quantile (Metrics.trace m) key 0.75 with
+    | Some v when Float.is_finite v && v >= 1.0 -> ()
+    | Some v -> Alcotest.failf "%s p75 = %g" stage v
+    | None -> Alcotest.failf "%s: no p75" stage
+  in
+  check_agree "live";
+  let other = Metrics.create () in
+  List.iter (Metrics.observe other "join_ms" ~labels) (pareto 8 500);
+  Metrics.merge_into ~into:m other;
+  Alcotest.(check int) "merged count" 2_500
+    (Option.get (Metrics.summary m "join_ms" ~labels)).count;
+  check_agree "merged"
+
 (* Label values straight from hostile input — quotes, backslashes,
    newlines — must round-trip through the exposition: one sample per
    line, escapes per the exposition grammar, and a parse of the emitted
@@ -219,7 +277,6 @@ let test_fleet_merged_trace_acceptance () =
   let cluster = Eval.Fleet_obs.cluster t in
   Alcotest.(check int) "three replicas" 3 (Nearby.Cluster.replica_count cluster);
   let fleet = Eval.Fleet_obs.fleet_trace t in
-  Alcotest.(check bool) "fleet stream is merged" true (Trace.is_merged fleet "join_ms");
   let bound = 2.0 *. Prelude.Sketch.default_alpha in
   (* Each replica's labeled scrape answers within the sketch bound of the
      replica's own source trace. *)
@@ -234,7 +291,7 @@ let test_fleet_merged_trace_acceptance () =
     in
     let source =
       match
-        Trace.sketch_quantile (Nearby.Server.trace (Nearby.Cluster.server_of cluster i))
+        Trace.quantile (Nearby.Server.trace (Nearby.Cluster.server_of cluster i))
           "join_ms" 0.99
       with
       | Some v -> v
@@ -249,7 +306,7 @@ let test_fleet_merged_trace_acceptance () =
   (* The merged fleet p99 lands inside the per-replica envelope, stretched
      by the sketch bound. *)
   let merged =
-    match Trace.sketch_quantile fleet "join_ms" 0.99 with
+    match Trace.quantile fleet "join_ms" 0.99 with
     | Some v -> v
     | None -> Alcotest.fail "no merged fleet p99"
   in
@@ -292,6 +349,7 @@ let suite =
       Alcotest.test_case "merge_trace under label" `Quick test_merge_trace_under_label;
       Alcotest.test_case "merge_into" `Quick test_merge_into;
       Alcotest.test_case "labeled exporters" `Quick test_prometheus_labeled;
+      Alcotest.test_case "one answer per stream" `Quick test_one_answer_per_stream;
       Alcotest.test_case "exposition escaping round-trips" `Quick
         test_prometheus_labeled_escaping;
       Alcotest.test_case "bench_json meta keys identical" `Quick test_bench_json_meta_keys;

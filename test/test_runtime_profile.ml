@@ -144,6 +144,36 @@ let test_note_pool () =
       | None -> Alcotest.fail "pool snapshot missing"
       | Some u -> Alcotest.(check int) "snapshot carries tasks" 2 u.tasks)
 
+(* --- the monotonic ns clock behind every default timer --- *)
+
+let test_clock_non_decreasing () =
+  let prev = ref (Prelude.Clock.now_ns ()) in
+  for _ = 1 to 100_000 do
+    let now = Prelude.Clock.now_ns () in
+    if now < !prev then Alcotest.failf "clock stepped back: %.0f after %.0f" now !prev;
+    prev := now
+  done
+
+(* A microsecond wall clock reads 0 for about half of ~1 µs intervals; the
+   ns clock must time every one of them above 0. *)
+let test_clock_resolves_a_microsecond () =
+  let spin () =
+    let x = ref 0.0 in
+    for i = 1 to 100 do
+      x := !x +. sqrt (float_of_int i)
+    done;
+    ignore (Sys.opaque_identity !x)
+  in
+  let shortest = ref infinity in
+  for _ = 1 to 100 do
+    let t0 = Prelude.Clock.now_ns () in
+    spin ();
+    shortest := Float.min !shortest (Prelude.Clock.now_ns () -. t0)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "shortest busy loop timed %.0f ns" !shortest)
+    true (!shortest > 0.0)
+
 let suite =
   ( "runtime_profile",
     [
@@ -158,4 +188,6 @@ let suite =
       Alcotest.test_case "pool: sequential accounting" `Quick
         test_pool_busy_accounting_sequential;
       Alcotest.test_case "note_pool snapshot" `Quick test_note_pool;
+      Alcotest.test_case "clock reads are non-decreasing" `Quick test_clock_non_decreasing;
+      Alcotest.test_case "clock resolves a microsecond" `Quick test_clock_resolves_a_microsecond;
     ] )

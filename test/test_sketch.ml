@@ -83,6 +83,107 @@ let test_clear () =
   Alcotest.(check bool) "empty after clear" true (Sketch.is_empty t);
   Alcotest.(check int) "no buckets" 0 (Sketch.buckets_used t)
 
+(* [clear] zeroes the populated band and forgets it, keeping the array: a
+   refill reaching below and above the old band must answer exactly like a
+   fresh sketch. *)
+let test_clear_then_refill () =
+  let t = Sketch.create () in
+  for i = 1 to 50 do
+    Sketch.add t (float_of_int (i * 1000))
+  done;
+  Sketch.clear t;
+  Alcotest.(check bool) "nan after clear" true (Float.is_nan (Sketch.quantile t 0.5));
+  let fresh = Sketch.create () in
+  for i = 1 to 200 do
+    let v = Float.pow (float_of_int ((i * 7919) mod 100)) 3.0 in
+    Sketch.add t v;
+    Sketch.add fresh v
+  done;
+  Alcotest.(check int) "count" (Sketch.count fresh) (Sketch.count t);
+  Alcotest.(check int) "buckets" (Sketch.buckets_used fresh) (Sketch.buckets_used t);
+  List.iter
+    (fun q ->
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "q=%.2f: cleared sketch = fresh sketch" q)
+        (Sketch.quantile fresh q) (Sketch.quantile t q))
+    [ 0.0; 0.1; 0.5; 0.9; 0.99; 1.0 ]
+
+(* The dense bucket array grows both ways: the first sample fixes the
+   initial band, later samples land far below and far above it. *)
+let test_dense_growth () =
+  let t = Sketch.create () in
+  let samples = [ 1e6; 5e5; 2e6; 1.0; 3e9; 0.01; 7.5; 1e12; 42.0 ] in
+  List.iter (Sketch.add t) samples;
+  let arr = Array.of_list samples in
+  Alcotest.(check int) "one bucket per distinct sample" (List.length samples)
+    (Sketch.buckets_used t);
+  List.iter
+    (fun q ->
+      let exact = exact_rank arr q and est = Sketch.quantile t q in
+      Alcotest.(check bool)
+        (Printf.sprintf "q=%.3f: %.4g vs exact %.4g" q est exact)
+        true (within_bound ~est ~exact))
+    [ 0.0; 0.125; 0.25; 0.375; 0.5; 0.625; 0.75; 0.875; 1.0 ];
+  (* Merging a band wider than the destination's array grows it too. *)
+  let into = Sketch.create () in
+  Sketch.add into 100.0;
+  Sketch.merge_into ~into t;
+  Alcotest.(check int) "merged buckets" (List.length samples + 1) (Sketch.buckets_used into);
+  let arr = Array.append arr [| 100.0 |] in
+  List.iter
+    (fun q ->
+      let exact = exact_rank arr q and est = Sketch.quantile into q in
+      Alcotest.(check bool)
+        (Printf.sprintf "merged q=%.1f: %.4g vs exact %.4g" q est exact)
+        true (within_bound ~est ~exact))
+    [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ]
+
+(* --- order statistics of classic shapes, at the exact-rank bound --- *)
+
+(* Checks the sketch's [q] estimate of [samples] against the exact rank and
+   returns it. *)
+let check_rank ~what samples q =
+  let t = Sketch.create () in
+  Array.iter (Sketch.add t) samples;
+  let exact = exact_rank samples q and est = Sketch.quantile t q in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s q=%.2f: %.3f vs exact %.3f" what q est exact)
+    true (within_bound ~est ~exact);
+  est
+
+let uniform_stream seed n =
+  let rng = Prng.create seed in
+  Array.init n (fun _ -> Prng.float rng 100.0)
+
+let test_median_uniform () = ignore (check_rank ~what:"uniform" (uniform_stream 1 20_000) 0.5)
+let test_p95_uniform () = ignore (check_rank ~what:"uniform" (uniform_stream 2 20_000) 0.95)
+let test_p99_uniform () = ignore (check_rank ~what:"uniform" (uniform_stream 3 50_000) 0.99)
+
+let test_exponential_tail () =
+  (* Skewed distribution: p95 of Exp(mean 10) is -10 ln 0.05 = 29.96. *)
+  let rng = Prng.create 4 in
+  let samples = Array.init 50_000 (fun _ -> Prng.exponential rng ~mean:10.0) in
+  let est = check_rank ~what:"exp(10)" samples 0.95 in
+  Alcotest.(check bool) (Printf.sprintf "p95 of exp: %.2f vs 29.96" est) true
+    (abs_float (est -. 29.957) < 1.5)
+
+let test_monotone_stream () =
+  (* Sorted input is adversarial for marker-based estimators; the sketch
+     does not care about arrival order. *)
+  ignore (check_rank ~what:"1..9999" (Array.init 9999 (fun i -> float_of_int (i + 1))) 0.5)
+
+let qcheck_within_observed_range =
+  QCheck.Test.make ~name:"estimate within observed range" ~count:200
+    QCheck.(list_of_size Gen.(int_range 6 60) (float_bound_inclusive 1000.0))
+    (fun samples ->
+      let t = Sketch.create () in
+      List.iter (Sketch.add t) samples;
+      let est = Sketch.quantile t 0.9 in
+      let lo = List.fold_left min infinity samples in
+      let hi = List.fold_left max neg_infinity samples in
+      est >= lo -. 1e-9 && est <= hi +. 1e-9
+      && within_bound ~est ~exact:(exact_rank (Array.of_list samples) 0.9))
+
 (* Positive-ish sample lists for the properties: heavy spread, including
    the sub-trackable region routed to the zero bucket. *)
 let samples_gen =
@@ -148,22 +249,22 @@ let qcheck_trace_merge_matches_concat =
       Simkit.Trace.counter into "ops" = 7
       && merged_summary.count = pooled_summary.count
       && close merged_summary.mean pooled_summary.mean
-      (* Quantile reads flip to the sketch on the merged stream and match
-         the pooled sketch bit-for-bit (same buckets, same counts). *)
-      && Simkit.Trace.is_merged into "lat_ms"
+      (* Quantile reads on the merged stream match the pooled stream
+         bit-for-bit (same buckets, same counts). *)
+      && merged_summary.p50 = pooled_summary.p50
+      && merged_summary.p99 = pooled_summary.p99
       && List.for_all
            (fun q ->
              match
-               ( Simkit.Trace.sketch_quantile into "lat_ms" q,
-                 Simkit.Trace.sketch_quantile pooled "lat_ms" q )
+               ( Simkit.Trace.quantile into "lat_ms" q,
+                 Simkit.Trace.quantile pooled "lat_ms" q )
              with
              | Some a, Some b -> a = b
              | _ -> false)
-           [ 0.5; 0.9; 0.99 ])
+           [ 0.5; 0.75; 0.9; 0.99 ])
 
 let test_trace_merge_quantile_read () =
-  (* The public quantile accessor on a merged stream must answer from the
-     sketch (any q), not the unmergeable P2 cells. *)
+  (* The public quantile accessor answers any q on a merged stream. *)
   let t1 = trace_of [] [ 10.0; 20.0 ] and t2 = trace_of [] [ 30.0; 40.0 ] in
   let into = Simkit.Trace.create () in
   Simkit.Trace.merge_into ~into t1;
@@ -187,6 +288,14 @@ let suite =
       Alcotest.test_case "relative error, heavy tail" `Quick test_relative_error_heavy_tail;
       Alcotest.test_case "merge alpha mismatch" `Quick test_merge_alpha_mismatch;
       Alcotest.test_case "clear" `Quick test_clear;
+      Alcotest.test_case "clear then refill equals a fresh sketch" `Quick test_clear_then_refill;
+      Alcotest.test_case "dense array grows both ways" `Quick test_dense_growth;
+      Alcotest.test_case "median uniform" `Slow test_median_uniform;
+      Alcotest.test_case "p95 uniform" `Slow test_p95_uniform;
+      Alcotest.test_case "p99 uniform" `Slow test_p99_uniform;
+      Alcotest.test_case "exponential tail" `Slow test_exponential_tail;
+      Alcotest.test_case "monotone stream" `Quick test_monotone_stream;
+      q qcheck_within_observed_range;
       q qcheck_split_merge_matches_pooled;
       q qcheck_merged_within_bound_of_exact;
       q qcheck_trace_merge_matches_concat;

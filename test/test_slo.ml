@@ -112,8 +112,7 @@ let test_evaluate_empty_series () =
 let test_evaluate_quantile () =
   let ts = Timeseries.create ~window_ms:100.0 () in
   (* One window: 90 fast samples and a 10% tail at 1000; the p99 sees the
-     tail, the median does not.  (A P2 sketch needs a few tail samples to
-     move, hence 10 rather than a single outlier.) *)
+     tail, the median does not. *)
   for i = 0 to 99 do
     Timeseries.observe ts "lat" ~now:(float_of_int i)
       (if i mod 10 = 9 then 1000.0 else 1.0)
