@@ -453,7 +453,7 @@ let run_obs ~full =
   let landmark = Nearby.Path_tree.landmark fx.tree in
   let route_of peer = fx.routes.(peer mod Array.length fx.routes) in
   let run_backend spec =
-    let metrics = Simkit.Trace.create () in
+    let metrics = Simkit.Metrics.create () in
     (* A live sink so every op is one root trace: the middleware tags each
        latency sample with its trace id, which is what populates the tail
        exemplars this bench gates on.  The span machinery sits outside the
@@ -483,6 +483,59 @@ let run_obs ~full =
       Nearby.Registry_intf.introspect reg )
   in
   let results = List.map run_backend Eval.Backends.all in
+  (* Instrumentation cost (ROADMAP: cheap enough to leave on): one stream
+     write through a resolved handle, and a tree [query_member] at 10k
+     members through [Instrumented_registry.wrap ~metrics] over the same
+     queries on an unwrapped tree — interleaved in one run, best of
+     [rounds] each, so machine speed cancels out of the ratio. *)
+  let rounds = 9 in
+  let best f =
+    let best = ref infinity in
+    for _ = 1 to rounds do
+      let t0 = Prelude.Clock.now_ns () in
+      f ();
+      best := Float.min !best (Prelude.Clock.now_ns () -. t0)
+    done;
+    !best
+  in
+  let ns_per_observe =
+    let stream = Simkit.Metrics.stream (Simkit.Metrics.create ()) "bench_observe_ns" in
+    let v = Sys.opaque_identity 1234.5 and n = 1_000_000 in
+    best (fun () ->
+        for _ = 1 to n do
+          Simkit.Metrics.observe_stream stream v
+        done)
+    /. float_of_int n
+  in
+  let instrumented_query_ratio =
+    let members = 10_000 in
+    let registry backend =
+      let reg = Nearby.Registry_intf.create backend ~landmark in
+      for peer = 0 to members - 1 do
+        Nearby.Registry_intf.insert reg ~peer ~routers:(route_of peer)
+      done;
+      reg
+    in
+    let raw = registry (module Nearby.Path_tree) in
+    let wrapped =
+      registry
+        (Nearby.Instrumented_registry.wrap ~metrics:(Simkit.Metrics.create ())
+           (module Nearby.Path_tree))
+    in
+    let queries reg () =
+      for peer = 0 to query_count - 1 do
+        ignore (Nearby.Registry_intf.query_member reg ~peer ~k)
+      done
+    in
+    let raw_ns = ref infinity and wrapped_ns = ref infinity in
+    for _ = 1 to rounds do
+      raw_ns := Float.min !raw_ns (best (queries raw));
+      wrapped_ns := Float.min !wrapped_ns (best (queries wrapped))
+    done;
+    !wrapped_ns /. !raw_ns
+  in
+  Printf.printf "instrumentation: %.1f ns per observe, instrumented/raw tree query %.3fx\n%!"
+    ns_per_observe instrumented_query_ratio;
   let cell = Prelude.Table.float_cell ~decimals:0 in
   Prelude.Table.print
     ~header:
@@ -621,7 +674,17 @@ let run_obs ~full =
         ("queries", string_of_int query_count);
         ("k", string_of_int k);
       ]
-    [ ("backends", List (List.map row_json results)); ("sketch", sketch_json); ("fleet", fleet_json) ];
+    [
+      ("backends", List (List.map row_json results));
+      ("sketch", sketch_json);
+      ("fleet", fleet_json);
+      ( "observe",
+        Obj
+          [
+            ("ns_per_observe", Number ns_per_observe);
+            ("instrumented_query_ratio", Number instrumented_query_ratio);
+          ] );
+    ];
   Printf.printf "wrote BENCH_obs.json (%d-peer workload, %d queries)\n%!" population query_count
 
 (* ------------------------------------------------------------------ *)

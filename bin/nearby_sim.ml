@@ -565,9 +565,8 @@ let load_cmd =
                   ~labeled:[ ("admission", artifacts.Eval.Load_exp.metrics) ]
                   sections);
             emit out.prom_out "Prometheus exposition" (fun () ->
-                Simkit.Export.prometheus sections
-                ^ Simkit.Export.prometheus_labeled
-                    [ ("admission", artifacts.Eval.Load_exp.metrics) ]);
+                Simkit.Export.prometheus
+                  (sections @ [ ("admission", artifacts.Eval.Load_exp.metrics) ]));
             let recorder = artifacts.Eval.Load_exp.recorder in
             emit out.flight_out
               (Printf.sprintf "%d flight-recorder events" (Simkit.Flight_recorder.count recorder))
@@ -1075,9 +1074,6 @@ let top_cmd =
                 if i < frames then Unix.sleepf (Float.max 0.0 refresh_ms /. 1000.0)
               done
             end;
-            let labeled () =
-              [ ("fleet", Eval.Fleet_obs.metrics t); ("replicas", Eval.Fleet_obs.scrape t) ]
-            in
             emit out.metrics_out "metrics snapshot" (fun () ->
                 let meta =
                   Simkit.Export.capture_meta ~seed:config.Eval.Fleet_obs.seed
@@ -1087,12 +1083,8 @@ let top_cmd =
                       ]
                     ()
                 in
-                Simkit.Export.metrics_json ~meta
-                  ~timeseries:[ ("fleet", Eval.Fleet_obs.timeseries t) ]
-                  ~labeled:(labeled ()) ~runtime:(Eval.Fleet_obs.runtime t)
-                  [ ("fleet", Eval.Fleet_obs.fleet_trace t) ]);
-            emit out.prom_out "Prometheus exposition" (fun () ->
-                Simkit.Export.prometheus_labeled (labeled ()));
+                Eval.Fleet_obs.metrics_json ~meta t);
+            emit out.prom_out "Prometheus exposition" (fun () -> Eval.Fleet_obs.prometheus t);
             exit_ok)
   in
   Cmd.v

@@ -108,6 +108,8 @@ let obs =
           row Lower_better ~tolerance:0.15 "obs/fleet/merged_p99_ms" (num [ "fleet"; "merged_p99_ms" ]);
           row Exact "obs/fleet/within_bound" (flag [ "fleet"; "within_bound" ]);
           row Lower_better ~tolerance:0.5 "obs/fleet/shard_skew" (num [ "fleet"; "shard_skew" ]);
+          row Lower_better ~tolerance:1.5 "obs/observe/instrumented_query_ratio"
+            (num [ "observe"; "instrumented_query_ratio" ]);
         ];
     ]
 

@@ -7,8 +7,8 @@
 
    - per-shard series from {!Nearby.Sharded_registry}
      ([registry_shard_*_ns{shard="i"}], occupancy gauges);
-   - per-backend series from {!Nearby.Instrumented_registry}
-     ([registry_*_ns{backend="sharded:4"}]);
+   - registry timing streams from {!Nearby.Instrumented_registry}
+     ([registry_*_ns], unlabeled: every replica runs the one backend);
    - per-outcome RPC series ([rpc_outcomes{outcome="ok"}], ...);
    - per-replica series from {!Nearby.Cluster.scrape}
      ([join_ms{replica="2"}], ...) plus the merged fleet trace from
@@ -133,14 +133,14 @@ let start (config : config) =
         Nearby.Landmark.place (Workload.graph w) Medium_degree ~count:config.replicas
           ~rng:(Prelude.Prng.split w.rng)
       in
-      (* Every replica's backend writes into the shared registry: the
-         sharded store adds {shard=...} series, the instrumented wrapper
-         the {backend=...} mirror.  The low parallel threshold pushes the
+      (* Every replica's backend writes into the shared store: the sharded
+         store adds {shard=...} series, the instrumented wrapper the flat
+         registry_*_ns streams.  The low parallel threshold pushes the
          query scatter onto the shared domain pool even at quick-config
          populations, so the dashboard's pool-utilization panel shows a
          pool that actually ran. *)
       let backend () =
-        Nearby.Instrumented_registry.wrap ~labeled:metrics
+        Nearby.Instrumented_registry.wrap ~metrics
           (Nearby.Sharded_registry.make ~shards:config.shards ~parallel_threshold:8
              ~metrics ())
       in
@@ -275,13 +275,8 @@ let horizon t = t.horizon
 let now t = Simkit.Engine.now t.engine
 let finished t = now t >= t.horizon
 let metrics t = t.metrics
-let timeseries t = t.timeseries
-let runtime t = t.runtime
 let cluster t = t.cluster
-let transport t = t.transport
 let admission t = t.admission
-let recorder t = t.recorder
-let wire_breaches t = !(t.wire_breaches)
 let fleet_trace t = Nearby.Cluster.fleet_trace t.cluster
 
 let advance t ~until =
@@ -289,13 +284,17 @@ let advance t ~until =
       Simkit.Engine.run t.engine ~until:(Float.min until t.horizon));
   Simkit.Runtime_profile.note_pool t.runtime (Prelude.Domain_pool.shared ())
 
-(* A fresh per-replica scrape: replica-labeled series double-count if the
-   same registry is scraped twice, so every caller that wants the
-   {replica="i"} view asks for a new one. *)
-let scrape t =
-  let m = Simkit.Metrics.create () in
-  Nearby.Cluster.scrape t.cluster ~into:m;
-  m
+let scrape t = Nearby.Cluster.scrape t.cluster
+
+let labeled t = [ ("fleet", t.metrics); ("replicas", scrape t) ]
+
+let metrics_json ?meta t =
+  Simkit.Export.metrics_json ?meta
+    ~timeseries:[ ("fleet", t.timeseries) ]
+    ~labeled:(labeled t) ~runtime:t.runtime
+    [ ("fleet", fleet_trace t) ]
+
+let prometheus t = Simkit.Export.prometheus (labeled t)
 
 (* Fleet staleness snapshot at the current engine time: fresh per-replica
    trackers every call, ages merged into one sketch. *)
@@ -339,16 +338,12 @@ type result = {
 let shard_occupancy t =
   let totals = Array.make t.config.shards 0.0 in
   List.iter
-    (fun (name, labels, _key) ->
-      if name = "registry_shard_members" then
-        match List.assoc_opt "shard" labels with
-        | Some s -> (
-            let s = int_of_string s in
-            match Simkit.Metrics.gauge t.metrics "registry_shard_members" ~labels with
-            | Some v when s >= 0 && s < t.config.shards -> totals.(s) <- totals.(s) +. v
-            | _ -> ())
-        | None -> ())
-    (Simkit.Metrics.series t.metrics);
+    (fun (r : Simkit.Metrics.reading) ->
+      match (r.name, Option.map int_of_string (List.assoc_opt "shard" r.labels), r.gauge) with
+      | "registry_shard_members", Some s, Some v when s >= 0 && s < t.config.shards ->
+          totals.(s) <- totals.(s) +. v
+      | _ -> ())
+    (Simkit.Metrics.readings t.metrics);
   totals
 
 let skew_of totals =
@@ -488,21 +483,15 @@ let render t =
     (fmt_bytes (Simkit.Transport.bytes_dropped t.transport))
     (if Float.is_nan amp then "-" else Printf.sprintf "%.2fx" amp)
     !(t.wire_breaches);
-  let kinds = Hashtbl.create 8 in
-  List.iter
-    (fun (name, labels, _key) ->
-      if name = "wire_bytes_total" then
-        match List.assoc_opt "kind" labels with
-        | Some kind ->
-            let b = Simkit.Metrics.counter t.metrics "wire_bytes_total" ~labels in
-            Hashtbl.replace kinds kind
-              (b + Option.value ~default:0 (Hashtbl.find_opt kinds kind))
-        | None -> ())
-    (Simkit.Metrics.series t.metrics);
+  let kind_of labels = List.assoc_opt "kind" labels in
   let mix =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds []
-    |> List.sort (fun (ka, a) (kb, b) ->
-           match compare b a with 0 -> compare ka kb | c -> c)
+    Simkit.Metrics.series t.metrics
+    |> List.filter_map (fun (name, l, _) -> if name = "wire_bytes_total" then kind_of l else None)
+    |> List.sort_uniq compare
+    |> List.map (fun k ->
+           let where l = kind_of l = Some k in
+           (k, Simkit.Metrics.sum_counters t.metrics "wire_bytes_total" ~where))
+    |> List.sort (fun (ka, a) (kb, b) -> match compare b a with 0 -> compare ka kb | c -> c)
   in
   let kmax = List.fold_left (fun acc (_, v) -> max acc v) 0 mix in
   List.iter

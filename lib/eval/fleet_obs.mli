@@ -2,12 +2,13 @@
 
     A healthy [replicas]-way cluster whose servers run a
     [sharded:N] registry backend, with every layer writing into one
-    labeled {!Simkit.Metrics} registry:
+    {!Simkit.Metrics} store:
 
     - per-shard timings and occupancy gauges
       ([registry_shard_*_ns{shard="i"}],
       [registry_shard_members{landmark=...,shard=...}]);
-    - per-backend mirrors ([registry_*_ns{backend="sharded:4"}]);
+    - registry timing streams ([registry_*_ns]), written once per sample
+      and unlabeled — every replica runs the same backend;
     - per-outcome RPC counters ([rpc_outcomes{outcome=...}]);
     - per-replica scrape series ([join_ms{replica="i"}]) next to the
       merged fleet trace of {!Nearby.Cluster.fleet_trace};
@@ -68,24 +69,10 @@ val horizon : t -> float
 (** Engine time by which every join has resolved (worst-case RPC
     schedule included). *)
 
-val now : t -> float
-val finished : t -> bool
 val metrics : t -> Simkit.Metrics.t
-(** The shared labeled registry (shard / backend / RPC series). *)
+(** The shared store (shard / registry / RPC / wire series). *)
 
-val timeseries : t -> Simkit.Timeseries.t
-val runtime : t -> Simkit.Runtime_profile.t
 val cluster : t -> Nearby.Cluster.t
-
-val transport : t -> Simkit.Transport.t
-(** The shared transport — wire counters, drop buckets and
-    {!Simkit.Transport.top_talkers} for the dashboard's wire panel. *)
-
-val recorder : t -> Simkit.Flight_recorder.t
-(** Receives the ["wire"]-kind bandwidth breach / clear events. *)
-
-val wire_breaches : t -> int
-(** Bandwidth-SLO breach edges seen so far. *)
 
 val admission : t -> Nearby.Admission.t
 (** The bounded queue in front of the cluster (depth / totals for the
@@ -95,9 +82,14 @@ val fleet_trace : t -> Simkit.Trace.t
 (** {!Nearby.Cluster.fleet_trace} — freshly merged on every call. *)
 
 val scrape : t -> Simkit.Metrics.t
-(** A fresh registry holding the per-replica ([{replica="i"}]) scrape —
-    fresh each call because scraping the same registry twice
-    double-counts. *)
+(** {!Nearby.Cluster.scrape}: a fresh per-replica ([{replica="i"}]) store. *)
+
+val metrics_json : ?meta:Simkit.Export.meta -> t -> string
+(** The [top --metrics-out] document: {!fleet_trace} as a section, the
+    shared store and a {!scrape} as labeled sections, runtime, timeseries. *)
+
+val prometheus : t -> string
+(** The [top --prom-out] exposition of the two labeled sections. *)
 
 type result = {
   joins : int;
@@ -125,9 +117,6 @@ type result = {
           [nan] with no reports. *)
   report_age_oldest_ms : float;  (** Stalest report still served. *)
 }
-
-val result : t -> result
-(** Drives the engine to the horizon first if needed. *)
 
 val run : config -> result * t
 

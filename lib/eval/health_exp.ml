@@ -81,13 +81,8 @@ type result = {
 (* Labeled-registry read-back: total [wire_bytes_total] carried under one
    kind label, summed over directions. *)
 let kind_bytes metrics kind =
-  List.fold_left
-    (fun acc (n, labels, _) ->
-      if n = "wire_bytes_total" && List.assoc_opt "kind" labels = Some kind then
-        acc + Simkit.Metrics.counter metrics n ~labels
-      else acc)
-    0
-    (Simkit.Metrics.series metrics)
+  Simkit.Metrics.sum_counters metrics "wire_bytes_total" ~where:(fun labels ->
+      List.assoc_opt "kind" labels = Some kind)
 
 let worst_rpc_ms (c : Simkit.Rpc.config) =
   let backoffs = ref 0.0 in

@@ -84,19 +84,12 @@ type result = {
 
 let label labels key = match List.assoc_opt key labels with Some v -> v | None -> ""
 
-let sum_counters metrics name ~where =
-  List.fold_left
-    (fun acc (n, labels, _) ->
-      if n = name && where labels then acc + Simkit.Metrics.counter metrics name ~labels
-      else acc)
-    0
-    (Simkit.Metrics.series metrics)
-
 let kind_bytes metrics kind =
-  sum_counters metrics "wire_bytes_total" ~where:(fun l -> label l "kind" = kind)
+  Simkit.Metrics.sum_counters metrics "wire_bytes_total" ~where:(fun l -> label l "kind" = kind)
 
 let dir_bytes metrics dirs =
-  sum_counters metrics "wire_bytes_total" ~where:(fun l -> List.mem (label l "dir") dirs)
+  Simkit.Metrics.sum_counters metrics "wire_bytes_total" ~where:(fun l ->
+      List.mem (label l "dir") dirs)
 
 (* Per-kind (bytes, msgs) summed over directions, largest first. *)
 let kind_rows metrics =
@@ -117,9 +110,8 @@ let kind_rows metrics =
 (* The conservation invariants: every delivered byte carries exactly one
    kind label, every dropped byte exactly one reason label. *)
 let reconciled metrics transport =
-  sum_counters metrics "wire_bytes_total" ~where:(fun _ -> true)
-  = Simkit.Transport.bytes_sent transport
-  && sum_counters metrics "wire_dropped_bytes_total" ~where:(fun _ -> true)
+  Simkit.Metrics.sum_counters metrics "wire_bytes_total" = Simkit.Transport.bytes_sent transport
+  && Simkit.Metrics.sum_counters metrics "wire_dropped_bytes_total"
      = Simkit.Transport.bytes_dropped transport
 
 (* --- One phase ---------------------------------------------------------- *)

@@ -46,19 +46,41 @@ type request = {
   shed : reason:string -> unit;
 }
 
+(* The admission counters live in the metric store alone — the caller's,
+   or a private one — and [totals] reads them back.  Handles resolve on
+   first write, so each series appears exactly when it is first written. *)
+type meters = {
+  submitted_total : int ref Lazy.t;
+  admitted_total : int ref Lazy.t;
+  shed_total : (string * int ref Lazy.t) list;  (* by reason *)
+  wait_ms : Simkit.Metrics.stream Lazy.t;
+  queue_depth : float ref Lazy.t;
+}
+
+let shed_reasons = [ "deadline"; "queue_full"; "slo" ]
+
+let meters m =
+  let counter ?labels name = lazy (Simkit.Metrics.counter_ref ?labels m name) in
+  {
+    submitted_total = counter "admission_submitted_total";
+    admitted_total = counter "admission_admitted_total";
+    shed_total =
+      List.map (fun r -> (r, counter "admission_shed_total" ~labels:[ ("reason", r) ])) shed_reasons;
+    wait_ms = lazy (Simkit.Metrics.stream m wait_series_name);
+    queue_depth = lazy (Simkit.Metrics.gauge_ref m depth_series_name);
+  }
+
 type t = {
   engine : Simkit.Engine.t;
   config : config;
-  metrics : Simkit.Metrics.t option;
+  metrics : Simkit.Metrics.t;
+  meters : meters;
   ts : Simkit.Timeseries.t;
   recorder : Simkit.Flight_recorder.t option;
   on_drain : (served:int -> unit) option;
   queue : request Queue.t;
   mutable depth : int;
   mutable max_depth : int;
-  mutable submitted : int;
-  mutable admitted : int;
-  shed_counts : (string, int) Hashtbl.t;
   mutable drains : int;
   mutable drain_armed : bool;
   monitor : Simkit.Slo.monitor option;
@@ -86,19 +108,18 @@ let create ~engine ?metrics ?timeseries ?recorder ?on_drain config =
     | Slo_shed { spec; _ } -> Some (Simkit.Slo.monitor [ spec ])
     | Drop_tail | Deadline _ -> None
   in
+  let metrics = match metrics with Some m -> m | None -> Simkit.Metrics.create () in
   {
     engine;
     config;
     metrics;
+    meters = meters metrics;
     ts;
     recorder;
     on_drain;
     queue = Queue.create ();
     depth = 0;
     max_depth = 0;
-    submitted = 0;
-    admitted = 0;
-    shed_counts = Hashtbl.create 4;
     drains = 0;
     drain_armed = false;
     monitor;
@@ -110,19 +131,14 @@ let create ~engine ?metrics ?timeseries ?recorder ?on_drain config =
     depth_series = Simkit.Timeseries.series ts depth_series_name;
   }
 
-let with_metrics t f = match t.metrics with Some m -> f m | None -> ()
+let bump c = incr (Lazy.force c)
 
 let observe_depth t ~now =
   Simkit.Timeseries.observe_series t.ts t.depth_series ~now (float_of_int t.depth);
-  with_metrics t (fun m ->
-      Simkit.Metrics.set m depth_series_name ~labels:[] (float_of_int t.depth))
+  Lazy.force t.meters.queue_depth := float_of_int t.depth
 
 let do_shed t req ~reason =
-  (match Hashtbl.find_opt t.shed_counts reason with
-  | Some n -> Hashtbl.replace t.shed_counts reason (n + 1)
-  | None -> Hashtbl.replace t.shed_counts reason 1);
-  with_metrics t (fun m ->
-      Simkit.Metrics.incr m "admission_shed_total" ~labels:[ ("reason", reason) ]);
+  bump (List.assoc reason t.meters.shed_total);
   req.shed ~reason
 
 (* One drain tick: serve the oldest [batch] requests at the current engine
@@ -142,10 +158,8 @@ let rec drain t () =
     | Deadline { max_wait_ms } when waited > max_wait_ms -> do_shed t req ~reason:"deadline"
     | _ ->
         Simkit.Timeseries.observe_series t.ts t.wait_series ~now waited;
-        with_metrics t (fun m ->
-            Simkit.Metrics.incr m "admission_admitted_total" ~labels:[];
-            Simkit.Metrics.observe m wait_series_name ~labels:[] waited);
-        t.admitted <- t.admitted + 1;
+        bump t.meters.admitted_total;
+        Simkit.Metrics.observe_stream (Lazy.force t.meters.wait_ms) waited;
         incr served;
         req.serve ~queued_ms:waited
   done;
@@ -192,15 +206,13 @@ let rec poll t () =
            ~on_breach:(fun st ->
              t.shedding <- true;
              t.slo_sheds_opened <- t.slo_sheds_opened + 1;
-             with_metrics t (fun m ->
-                 Simkit.Metrics.incr m "admission_slo_transitions_total"
-                   ~labels:[ ("edge", "breach") ]);
+             Simkit.Metrics.incr t.metrics "admission_slo_transitions_total"
+               ~labels:[ ("edge", "breach") ];
              record_transition t ~now st ~opening:true)
            ~on_clear:(fun st ->
              t.shedding <- false;
-             with_metrics t (fun m ->
-                 Simkit.Metrics.incr m "admission_slo_transitions_total"
-                   ~labels:[ ("edge", "clear") ]);
+             Simkit.Metrics.incr t.metrics "admission_slo_transitions_total"
+               ~labels:[ ("edge", "clear") ];
              record_transition t ~now st ~opening:false)
            monitor t.ts);
       if t.depth > 0 || t.shedding then arm_poll t
@@ -216,8 +228,7 @@ and arm_poll t =
 
 let submit t ~serve ~shed =
   let now = Simkit.Engine.now t.engine in
-  t.submitted <- t.submitted + 1;
-  with_metrics t (fun m -> Simkit.Metrics.incr m "admission_submitted_total" ~labels:[]);
+  bump t.meters.submitted_total;
   let req = { submitted_at = now; serve; shed } in
   arm_poll t;
   if t.shedding then do_shed t req ~reason:"slo"
@@ -241,13 +252,16 @@ type totals = {
 }
 
 let totals t =
+  let counter ?labels name = Simkit.Metrics.counter ?labels t.metrics name in
   let shed =
-    Hashtbl.fold (fun reason n acc -> (reason, n) :: acc) t.shed_counts []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+    List.filter_map
+      (fun r ->
+        match counter "admission_shed_total" ~labels:[ ("reason", r) ] with 0 -> None | n -> Some (r, n))
+      shed_reasons
   in
   {
-    submitted = t.submitted;
-    admitted = t.admitted;
+    submitted = counter "admission_submitted_total";
+    admitted = counter "admission_admitted_total";
     shed;
     shed_total = List.fold_left (fun acc (_, n) -> acc + n) 0 shed;
     max_depth = t.max_depth;

@@ -23,7 +23,8 @@
     callback; shed requests get the reason.  Exactly one of the two fires
     per submit.
 
-    Observability: with a [metrics] registry, the queue emits gauge
+    Observability: the queue counts into a metric store (the caller's
+    [metrics], or a private one; {!totals} reads it back) — gauge
     [admission_queue_depth], counters [admission_submitted_total],
     [admission_admitted_total], [admission_shed_total{reason=...}] and
     [admission_slo_transitions_total{edge=...}], plus the pure dequeue

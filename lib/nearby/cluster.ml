@@ -117,16 +117,15 @@ let fleet_trace t =
   Simkit.Trace.merge_into ~into t.trace;
   into
 
-(* Dimensional scrape: every replica's server trace filed under its
-   replica index, so per-replica tails sit next to the merged fleet view
-   in one labeled registry. *)
-let scrape t ~into =
+let scrape t =
+  let into = Simkit.Metrics.create () in
   Array.iteri
     (fun i r ->
-      Simkit.Metrics.merge_trace into
-        ~labels:[ ("replica", string_of_int i) ]
+      Simkit.Metrics.merge_into ~labels:[ ("replica", string_of_int i) ] ~into
         (Server.trace r.server))
-    t.replicas
+    t.replicas;
+  into
+
 let replica_router t i = t.replicas.(i).router
 let server_of t i = t.replicas.(i).server
 let measurement_server t = t.replicas.(0).server

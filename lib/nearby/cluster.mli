@@ -120,12 +120,10 @@ val fleet_trace : t -> Simkit.Trace.t
     survives a crash, and the fleet tail must not silently drop their
     samples. *)
 
-val scrape : t -> into:Simkit.Metrics.t -> unit
-(** Dimensional scrape: file each replica's {!Server.trace} into [into]
-    under a [{replica="<i>"}] label, so per-replica series
-    ([join_ms{replica="2"}], …) accumulate next to whatever else the
-    registry holds.  Scraping twice double-counts — scrape into a fresh
-    registry per export. *)
+val scrape : t -> Simkit.Metrics.t
+(** Dimensional scrape: a fresh store holding each replica's
+    {!Server.trace} under a [{replica="<i>"}] label, so per-replica tails
+    ([join_ms{replica="2"}], …) sit next to the merged {!fleet_trace}. *)
 
 val replica_at : t -> router:Topology.Graph.node -> int option
 (** The replica hosted at [router], if any. *)

@@ -1,10 +1,11 @@
 (* Timing middleware over any registry backend.
 
    [make] wraps a packed [Registry_intf.S] so every insert/remove/query is
-   timed with the monotonic ns clock and folded into a shared
-   [Simkit.Trace] under uniform stream names — the same names for [tree],
-   [naive], [dht], [super] and [sharded:N], which is what lets the metrics
-   exporter and `bench obs` report identical per-backend latency quantiles.
+   timed with the monotonic ns clock and written once, through stream
+   handles, into one [Simkit.Metrics] store under uniform flat stream
+   names — the same names for [tree], [naive], [dht], [super] and
+   [sharded:N], which is what lets the metrics exporter and `bench obs`
+   report identical per-backend latency quantiles.
 
    With a span sink attached, every operation additionally becomes one
    span, parented under whatever context is ambient ([Span.with_context] /
@@ -14,7 +15,7 @@
    to concrete traces.
 
    [wrap] is the zero-cost-when-disabled entry point: with neither a
-   metrics trace nor a span sink it returns the backend module unchanged
+   metrics store nor a span sink it returns the backend module unchanged
    (physically the same first-class module), so the disabled path is a
    direct call into the backend — no closure, no clock read, no branch. *)
 
@@ -23,7 +24,7 @@ let remove_ns = "registry_remove_ns"
 let query_ns = "registry_query_ns"
 let query_candidates = "registry_query_candidates"
 
-let make ?(clock = Prelude.Clock.now_ns) ?(spans = Simkit.Span.noop) ?labeled ~metrics
+let make ?(clock = Prelude.Clock.now_ns) ?(spans = Simkit.Span.noop) ?metrics
     (module B : Registry_intf.S) : (module Registry_intf.S) =
   (module struct
     type t = B.t
@@ -32,15 +33,19 @@ let make ?(clock = Prelude.Clock.now_ns) ?(spans = Simkit.Span.noop) ?labeled ~m
     let create = B.create
     let landmark = B.landmark
 
-    (* The dimensional mirror: same stream names as the flat trace, filed
-       under the backend's identity so per-backend series merge into one
-       fleet view without name mangling. *)
-    let backend_labels = [ ("backend", B.backend_name) ]
+    (* One handle per stream, resolved on the first sample so a stream
+       appears exactly when it is first written; none without a store. *)
+    let stream name = Option.map (fun m -> lazy (Simkit.Metrics.stream m name)) metrics
 
-    let labeled_observe ?trace_id stream v =
-      match labeled with
+    let record stream ~trace_id v =
+      match stream with
+      | Some s -> Simkit.Metrics.observe_traced (Lazy.force s) ~trace_id v
       | None -> ()
-      | Some m -> Simkit.Metrics.observe ?trace_id m stream ~labels:backend_labels v
+
+    let insert_stream = stream insert_ns
+    let remove_stream = stream remove_ns
+    let query_stream = stream query_ns
+    let candidates_stream = stream query_candidates
 
     (* The span runs on the sink's simulated clock (duration ~0 there: a
        store op is instantaneous in simulated time); the wall-clock cost
@@ -52,15 +57,13 @@ let make ?(clock = Prelude.Clock.now_ns) ?(spans = Simkit.Span.noop) ?labeled ~m
         (fun ctx ->
           let t0 = clock () in
           let r = f () in
-          let elapsed = clock () -. t0 in
-          Simkit.Trace.observe ~trace_id:ctx.Simkit.Span.trace_id metrics stream elapsed;
-          labeled_observe ~trace_id:ctx.Simkit.Span.trace_id stream elapsed;
+          record stream ~trace_id:ctx.Simkit.Span.trace_id (clock () -. t0);
           r)
 
     let insert t ~peer ~routers =
-      timed "registry_insert" insert_ns (fun () -> B.insert t ~peer ~routers)
+      timed "registry_insert" insert_stream (fun () -> B.insert t ~peer ~routers)
 
-    let remove t peer = timed "registry_remove" remove_ns (fun () -> B.remove t peer)
+    let remove t peer = timed "registry_remove" remove_stream (fun () -> B.remove t peer)
     let mem = B.mem
     let member_count = B.member_count
     let path_of = B.path_of
@@ -68,15 +71,14 @@ let make ?(clock = Prelude.Clock.now_ns) ?(spans = Simkit.Span.noop) ?labeled ~m
     let dtree = B.dtree
 
     let observe_query result =
-      Simkit.Trace.observe metrics query_candidates (float_of_int (List.length result));
-      labeled_observe query_candidates (float_of_int (List.length result));
+      record candidates_stream ~trace_id:0 (float_of_int (List.length result));
       result
 
     let query t ~routers ~k ?(exclude = fun _ -> false) () =
-      observe_query (timed "registry_query" query_ns (fun () -> B.query t ~routers ~k ~exclude ()))
+      observe_query (timed "registry_query" query_stream (fun () -> B.query t ~routers ~k ~exclude ()))
 
     let query_member t ~peer ~k =
-      observe_query (timed "registry_query" query_ns (fun () -> B.query_member t ~peer ~k))
+      observe_query (timed "registry_query" query_stream (fun () -> B.query_member t ~peer ~k))
 
     (* A batch is one span (tagged with its size), not n: that is the point
        of batching, and span sinks stay proportional to call volume.  The
@@ -94,18 +96,17 @@ let make ?(clock = Prelude.Clock.now_ns) ?(spans = Simkit.Span.noop) ?labeled ~m
             let r = f () in
             let per_op = (clock () -. t0) /. float_of_int n in
             for _ = 1 to n do
-              Simkit.Trace.observe ~trace_id:ctx.Simkit.Span.trace_id metrics stream per_op;
-              labeled_observe ~trace_id:ctx.Simkit.Span.trace_id stream per_op
+              record stream ~trace_id:ctx.Simkit.Span.trace_id per_op
             done;
             r)
 
     let insert_many t entries =
-      timed_batch "registry_insert_many" insert_ns (Array.length entries) (fun () ->
+      timed_batch "registry_insert_many" insert_stream (Array.length entries) (fun () ->
           B.insert_many t entries)
 
     let query_many t ~queries ~k ?(exclude = fun _ _ -> false) () =
       let results =
-        timed_batch "registry_query_many" query_ns (Array.length queries) (fun () ->
+        timed_batch "registry_query_many" query_stream (Array.length queries) (fun () ->
             B.query_many t ~queries ~k ~exclude ())
       in
       Array.iter (fun r -> ignore (observe_query r)) results;
@@ -123,9 +124,5 @@ let make ?(clock = Prelude.Clock.now_ns) ?(spans = Simkit.Span.noop) ?labeled ~m
     let check_invariants = B.check_invariants
   end)
 
-let wrap ?clock ?metrics ?labeled ?spans backend =
-  match (metrics, labeled, spans) with
-  | None, None, None -> backend
-  | _ ->
-      let metrics = match metrics with Some m -> m | None -> Simkit.Trace.create () in
-      make ?clock ?spans ?labeled ~metrics backend
+let wrap ?clock ?metrics ?spans backend =
+  match (metrics, spans) with None, None -> backend | _ -> make ?clock ?spans ?metrics backend

@@ -1,15 +1,15 @@
 (** Timing middleware over any {!Registry_intf.S} backend.
 
     Wraps a packed backend module so [insert], [remove], [query] and
-    [query_member] are individually timed and recorded into a shared
-    {!Simkit.Trace} under uniform stream names, identical for every
-    backend:
+    [query_member] are individually timed and each sample is written once
+    into one {!Simkit.Metrics} store under uniform flat stream names,
+    identical for every backend:
 
     - ["registry_insert_ns"], ["registry_remove_ns"], ["registry_query_ns"]
       — per-operation wall time, nanoseconds;
     - ["registry_query_candidates"] — candidates returned per query.
 
-    The upgraded trace gives each stream p50/p90/p99 alongside mean/CI, so
+    The store gives each stream p50/p90/p99 alongside mean/CI, so
     every backend gets tail-latency metrics for free; answers, stats,
     introspection and snapshots pass through untouched.
 
@@ -29,26 +29,23 @@ val query_candidates : string
 val make :
   ?clock:(unit -> float) ->
   ?spans:Simkit.Span.sink ->
-  ?labeled:Simkit.Metrics.t ->
-  metrics:Simkit.Trace.t ->
+  ?metrics:Simkit.Metrics.t ->
   (module Registry_intf.S) ->
   (module Registry_intf.S)
-(** [make ~metrics b] is [b] with timed hot paths.  [clock] (default
-    {!Prelude.Clock.now_ns}, nanoseconds) is injectable for
-    deterministic tests; [spans] (default {!Simkit.Span.noop}) receives
-    one per-operation span parented on the ambient context.  [labeled]
-    additionally mirrors every sample dimensionally under the same stream
-    names with a [{backend="<backend_name>"}] label, so several wrapped
-    backends write distinct series into one registry. *)
+(** [make ~metrics b] is [b] with timed hot paths, each sample written
+    once into [metrics] through a stream handle resolved on first use.
+    [clock] (default {!Prelude.Clock.now_ns}, nanoseconds) is injectable
+    for deterministic tests; [spans] (default {!Simkit.Span.noop})
+    receives one per-operation span parented on the ambient context.
+    Without [metrics] only the spans are recorded. *)
 
 val wrap :
   ?clock:(unit -> float) ->
-  ?metrics:Simkit.Trace.t ->
-  ?labeled:Simkit.Metrics.t ->
+  ?metrics:Simkit.Metrics.t ->
   ?spans:Simkit.Span.sink ->
   (module Registry_intf.S) ->
   (module Registry_intf.S)
-(** [wrap ?metrics ?labeled ?spans b] is [make] when a metrics trace, a
-    labeled registry or a span sink is given and {e physically} [b] itself
-    when none is — instrumentation compiles down to direct backend calls
-    when disabled. *)
+(** [wrap ?metrics ?spans b] is [make] when a metrics store or a span
+    sink is given and {e physically} [b] itself when neither is —
+    instrumentation compiles down to direct backend calls when
+    disabled. *)

@@ -255,19 +255,28 @@ end
 (* A backend packed with its state and a metrics sink: the dynamic form the
    server and the experiments route every call through.  The trace records
    "registry_insert" / "registry_remove" / "registry_query" identically for
-   every backend; backend-specific costs (overlay hops, lookups, shard
-   sizes) surface through [stats]. *)
+   every backend, through counter cells resolved on first use;
+   backend-specific costs (overlay hops, lookups, shard sizes) surface
+   through [stats]. *)
+type counters = { inserts : int ref Lazy.t; removes : int ref Lazy.t; queries : int ref Lazy.t }
+
 type t =
   | Registry : {
       backend : (module S with type t = 'a);
       state : 'a;
-      trace : Simkit.Trace.t;
+      counters : counters;
     }
       -> t
 
-let create ?trace (module B : S) ~landmark =
+let counters trace =
   let trace = match trace with Some t -> t | None -> Simkit.Trace.create () in
-  Registry { backend = (module B); state = B.create ~landmark; trace }
+  let op name = lazy (Simkit.Trace.counter_ref trace ("registry_" ^ name)) in
+  { inserts = op "insert"; removes = op "remove"; queries = op "query" }
+
+let count ?(n = 1) c = Lazy.force c := !(Lazy.force c) + n
+
+let create ?trace (module B : S) ~landmark =
+  Registry { backend = (module B); state = B.create ~landmark; counters = counters trace }
 
 let name (Registry r) =
   let module B = (val r.backend) in
@@ -279,12 +288,12 @@ let landmark (Registry r) =
 
 let insert (Registry r) ~peer ~routers =
   let module B = (val r.backend) in
-  Simkit.Trace.incr r.trace "registry_insert";
+  count r.counters.inserts;
   B.insert r.state ~peer ~routers
 
 let remove (Registry r) peer =
   let module B = (val r.backend) in
-  Simkit.Trace.incr r.trace "registry_remove";
+  count r.counters.removes;
   B.remove r.state peer
 
 let mem (Registry r) peer =
@@ -309,29 +318,29 @@ let dtree (Registry r) p1 p2 =
 
 let query (Registry r) ~routers ~k ?(exclude = fun _ -> false) () =
   let module B = (val r.backend) in
-  Simkit.Trace.incr r.trace "registry_query";
+  count r.counters.queries;
   B.query r.state ~routers ~k ~exclude ()
 
 let query_member (Registry r) ~peer ~k =
   let module B = (val r.backend) in
-  Simkit.Trace.incr r.trace "registry_query";
+  count r.counters.queries;
   B.query_member r.state ~peer ~k
 
 (* Batch calls keep the per-op counter semantics: a batch of n counts as n,
    so dashboards cannot tell (and need not care) how calls were batched. *)
 let insert_many (Registry r) entries =
   let module B = (val r.backend) in
-  Simkit.Trace.add_count r.trace "registry_insert" (Array.length entries);
+  count ~n:(Array.length entries) r.counters.inserts;
   B.insert_many r.state entries
 
 let query_many (Registry r) ~queries ~k ?(exclude = fun _ _ -> false) () =
   let module B = (val r.backend) in
-  Simkit.Trace.add_count r.trace "registry_query" (Array.length queries);
+  count ~n:(Array.length queries) r.counters.queries;
   B.query_many r.state ~queries ~k ~exclude ()
 
 let query_member_many (Registry r) ~peers ~k =
   let module B = (val r.backend) in
-  Simkit.Trace.add_count r.trace "registry_query" (Array.length peers);
+  count ~n:(Array.length peers) r.counters.queries;
   let queries =
     Array.map
       (fun peer ->
@@ -357,9 +366,8 @@ let snapshot (Registry r) =
   B.snapshot r.state
 
 let restore ?trace (module B : S) data =
-  let trace = match trace with Some t -> t | None -> Simkit.Trace.create () in
   match B.restore data with
-  | Ok state -> Ok (Registry { backend = (module B); state; trace })
+  | Ok state -> Ok (Registry { backend = (module B); state; counters = counters trace })
   | Error e -> Error e
 
 let check_invariants (Registry r) =

@@ -23,6 +23,21 @@ module Peer_table = Hashtbl.Make (struct
   let hash peer = Hashtbl.hash peer lsr 8
 end)
 
+(* The per-join series, resolved on first write so each appears exactly
+   when it is first written. *)
+type meters = {
+  joins : int ref Lazy.t;
+  probe_packets : int ref Lazy.t;
+  wire_bytes : int ref Lazy.t;
+  report_refresh : int ref Lazy.t;
+  path_hops : Simkit.Metrics.stream Lazy.t;
+  ping_round_ms : Simkit.Metrics.stream Lazy.t;
+  traceroute_ms : Simkit.Metrics.stream Lazy.t;
+  join_ms : Simkit.Metrics.stream Lazy.t;
+}
+
+let bump ?(n = 1) c = Lazy.force c := !(Lazy.force c) + n
+
 type t = {
   oracle : Traceroute.Route_oracle.t;
   latency : Topology.Latency.t option;
@@ -50,6 +65,7 @@ type t = {
   registered_at : (int, float) Hashtbl.t;
   mutable clock : unit -> float;
   trace : Simkit.Trace.t;
+  meters : meters;
   spans : Simkit.Span.sink;
   (* Peers whose join span is still open: closed by their first query (so
      the span encloses the whole two-round protocol), or by leave/flush.
@@ -69,6 +85,20 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
       Hashtbl.add distinct lmk ())
     landmarks;
   let trace = Simkit.Trace.create () in
+  let counter name = lazy (Simkit.Trace.counter_ref trace name) in
+  let stream name = lazy (Simkit.Trace.stream trace name) in
+  let meters =
+    {
+      joins = counter "join";
+      probe_packets = counter "probe_packets";
+      wire_bytes = counter "wire_bytes";
+      report_refresh = counter "report_refresh";
+      path_hops = stream "path_hops";
+      ping_round_ms = stream "ping_round_ms";
+      traceroute_ms = stream "traceroute_ms";
+      join_ms = stream "join_ms";
+    }
+  in
   let registries = Hashtbl.create (Array.length landmarks) in
   Array.iter
     (fun lmk -> Hashtbl.add registries lmk (Registry_intf.create ~trace backend ~landmark:lmk))
@@ -89,6 +119,7 @@ let create ?(truncate = Traceroute.Truncate.Full) ?(probe_config = Traceroute.Pr
     registered_at = Hashtbl.create 256;
     clock = (fun () -> 0.0);
     trace;
+    meters;
     spans;
     open_joins = Hashtbl.create 16;
   }
@@ -103,7 +134,7 @@ let stamp_quiet t peer = Hashtbl.replace t.registered_at peer (t.clock ())
    staleness view can report a per-window refresh rate. *)
 let stamp t peer =
   stamp_quiet t peer;
-  Simkit.Trace.incr t.trace "report_refresh"
+  bump t.meters.report_refresh
 
 let registration_time t peer = Hashtbl.find_opt t.registered_at peer
 let iter_registration_times t f = Hashtbl.iter f t.registered_at
@@ -265,6 +296,17 @@ let flush_spans t =
   Hashtbl.fold (fun peer _ acc -> peer :: acc) t.open_joins []
   |> List.iter (fun peer -> close_join_span t ~peer)
 
+(* The per-join counters and per-phase streams of the two-round protocol,
+   in simulated milliseconds. *)
+let count_join t (r : measurement) =
+  bump t.meters.joins;
+  bump ~n:r.cost t.meters.probe_packets;
+  let observe s v = Simkit.Metrics.observe_stream (Lazy.force s) v in
+  observe t.meters.path_hops (float_of_int (Traceroute.Path.hop_count r.reduced));
+  observe t.meters.ping_round_ms r.ping_rtt_ms;
+  observe t.meters.traceroute_ms r.traceroute_ms;
+  observe t.meters.join_ms (r.ping_rtt_ms +. r.traceroute_ms)
+
 (* Round 2 server side: store a client-measured path and answer the join
    counters/spans.  Split from [join] so a replicated cluster can measure
    once at the client and register the same measurement on any replica. *)
@@ -288,15 +330,8 @@ let register_measured ?parent t ~peer ~attach_router (r : measurement) =
       m "join peer=%d router=%d landmark=%d hops=%d probes=%d" peer attach_router landmark
         (Traceroute.Path.hop_count recorded_path)
         probes_spent);
-  Simkit.Trace.incr t.trace "join";
-  Simkit.Trace.add_count t.trace "probe_packets" probes_spent;
-  Simkit.Trace.add_count t.trace "wire_bytes"
-    (Wire.byte_size (Wire.Path_report { peer; path = recorded_path }));
-  Simkit.Trace.observe t.trace "path_hops" (float_of_int (Traceroute.Path.hop_count recorded_path));
-  (* Per-phase cost of the two-round protocol, in simulated milliseconds. *)
-  Simkit.Trace.observe t.trace "ping_round_ms" r.ping_rtt_ms;
-  Simkit.Trace.observe t.trace "traceroute_ms" r.traceroute_ms;
-  Simkit.Trace.observe t.trace "join_ms" (r.ping_rtt_ms +. r.traceroute_ms);
+  count_join t r;
+  bump ~n:(Wire.byte_size (Wire.Path_report { peer; path = recorded_path })) t.meters.wire_bytes;
   if Simkit.Span.enabled t.spans then begin
     let open Simkit.Span in
     let t0 = now t.spans in
@@ -391,21 +426,14 @@ let register_measured_batch ?parent t entries =
         let _, _, routers = routed.(i) in
         add_entry t ~peer ~routers info;
         stamp t peer;
-        Simkit.Trace.incr t.trace "join";
-        Simkit.Trace.add_count t.trace "probe_packets" r.cost;
-        Simkit.Trace.observe t.trace "path_hops"
-          (float_of_int (Traceroute.Path.hop_count r.reduced));
-        Simkit.Trace.observe t.trace "ping_round_ms" r.ping_rtt_ms;
-        Simkit.Trace.observe t.trace "traceroute_ms" r.traceroute_ms;
-        Simkit.Trace.observe t.trace "join_ms" (r.ping_rtt_ms +. r.traceroute_ms);
+        count_join t r;
         info)
       entries
   in
   let reports =
     Array.to_list (Array.map (fun (peer, _, (r : measurement)) -> (peer, r.reduced)) entries)
   in
-  Simkit.Trace.add_count t.trace "wire_bytes"
-    (Wire.byte_size (Wire.Path_report_batch { reports }));
+  bump ~n:(Wire.byte_size (Wire.Path_report_batch { reports })) t.meters.wire_bytes;
   Log.debug (fun m -> m "join batch n=%d landmarks=%d" n landmarks);
   if Simkit.Span.enabled t.spans && n > 0 then begin
     let open Simkit.Span in
@@ -571,11 +599,12 @@ let neighbors t ~peer ~k =
         Simkit.Span.with_context t.spans query_ctx (fun () ->
             neighbors_of_path t ~path:info.recorded_path ~k ~exclude:(fun p -> p = peer) ())
       in
-      Simkit.Trace.add_count t.trace "wire_bytes"
-        (Wire.byte_size (Wire.Neighbor_request { peer; k })
-        + Wire.byte_size
-            (Wire.Neighbor_reply
-               { peer; neighbors = List.map (fun (p, d) -> (p, min d 0x3FFFFFF)) reply }));
+      bump t.meters.wire_bytes
+        ~n:
+          (Wire.byte_size (Wire.Neighbor_request { peer; k })
+          + Wire.byte_size
+              (Wire.Neighbor_reply
+                 { peer; neighbors = List.map (fun (p, d) -> (p, min d 0x3FFFFFF)) reply }));
       if Simkit.Span.enabled t.spans then begin
         let open Simkit.Span in
         let tq = now t.spans in

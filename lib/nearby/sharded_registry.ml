@@ -60,46 +60,45 @@ module Make
     landmark : Topology.Graph.node;
     shards : Inner.t array;
     home : (int, int) Hashtbl.t;  (* peer -> shard index *)
-    occ : (string * string) list array;  (* occupancy-gauge labels, per shard *)
+    occ : float ref Lazy.t array;  (* occupancy gauges, per shard *)
   }
 
   let shard_count = Config.shards
   let backend_name = Printf.sprintf "sharded:%d" shard_count
 
-  (* Per-shard observability.  Label lists are preallocated per shard and
-     every hook starts with a [Config.metrics] match, so the disabled path
-     costs one branch.  Workers never touch the registry from inside the
-     pool -- Metrics hashtables are not thread-safe -- parallel paths time
-     into a caller-local array and observe after the join. *)
-  let shard_insert_ns = "registry_shard_insert_ns"
-  let shard_query_ns = "registry_shard_query_ns"
-  let shard_members = "registry_shard_members"
-  let shard_labels = Array.init shard_count (fun s -> [ ("shard", string_of_int s) ])
+  (* Per-shard handles, resolved on first write; empty arrays without
+     [Config.metrics].  Workers never touch the store from inside the pool
+     -- it is not thread-safe -- parallel paths time into a caller-local
+     array and observe after the join. *)
+  let per_shard handle =
+    match Config.metrics with
+    | None -> [||]
+    | Some m -> Array.init shard_count (fun s -> lazy (handle m [ ("shard", string_of_int s) ]))
+
+  let shard_streams name = per_shard (fun m labels -> Simkit.Metrics.stream m name ~labels)
+  let shard_insert_ns = shard_streams "registry_shard_insert_ns"
+  let shard_query_ns = shard_streams "registry_shard_query_ns"
 
   (* [n] amortized samples of [elapsed] total: batch visits then weigh the
      same as the singleton visits they replaced, so per-shard quantiles
      stay comparable across scatter strategies. *)
-  let observe_shard stream s ~elapsed ~n =
-    match Config.metrics with
-    | None -> ()
-    | Some m ->
-        if n > 0 then begin
-          let per_op = elapsed /. float_of_int n in
-          for _ = 1 to n do
-            Simkit.Metrics.observe m stream ~labels:shard_labels.(s) per_op
-          done
-        end
+  let observe_shard streams s ~elapsed ~n =
+    if Array.length streams > 0 && n > 0 then begin
+      let stream = Lazy.force streams.(s) in
+      let per_op = elapsed /. float_of_int n in
+      for _ = 1 to n do
+        Simkit.Metrics.observe_stream stream per_op
+      done
+    end
 
-  let occ_labels landmark =
-    Array.init shard_count (fun s ->
-        [ ("landmark", string_of_int landmark); ("shard", string_of_int s) ])
+  let occ_gauges landmark =
+    per_shard (fun m labels ->
+        Simkit.Metrics.gauge_ref m "registry_shard_members"
+          ~labels:(("landmark", string_of_int landmark) :: labels))
 
   let set_occupancy t s =
-    match Config.metrics with
-    | None -> ()
-    | Some m ->
-        Simkit.Metrics.set m shard_members ~labels:t.occ.(s)
-          (float_of_int (Inner.member_count t.shards.(s)))
+    if Array.length t.occ > 0 then
+      Lazy.force t.occ.(s) := float_of_int (Inner.member_count t.shards.(s))
 
   let pool =
     lazy
@@ -121,7 +120,7 @@ module Make
       landmark;
       shards = Array.init shard_count (fun _ -> Inner.create ~landmark);
       home = Hashtbl.create 256;
-      occ = occ_labels landmark;
+      occ = occ_gauges landmark;
     }
 
   let landmark t = t.landmark
@@ -415,7 +414,7 @@ module Make
                 Array.of_list (List.map (function Ok s -> s | Error _ -> assert false) restored)
               in
               let t =
-                { landmark; shards; home = Hashtbl.create 256; occ = occ_labels landmark }
+                { landmark; shards; home = Hashtbl.create 256; occ = occ_gauges landmark }
               in
               let clash = ref None in
               Array.iteri

@@ -15,6 +15,11 @@
    quantile read is one walk over [lo, hi] with no sort.  An index outside
    the array doubles it and re-centres the populated band. *)
 
+(* The observed extremes live in an all-float record, which OCaml stores
+   unboxed: writing them allocates nothing, where float fields of the
+   mixed record below would box on every [add]. *)
+type extremes = { mutable min_v : float; mutable max_v : float }
+
 type t = {
   alpha : float;
   gamma : float;
@@ -25,8 +30,7 @@ type t = {
   mutable hi : int;
   mutable zero : int;  (* NaN and values below the trackable floor *)
   mutable total : int;
-  mutable min_v : float;
-  mutable max_v : float;
+  ext : extremes;
 }
 
 let default_alpha = 0.01
@@ -57,8 +61,7 @@ let create ?(alpha = default_alpha) () =
     hi = min_int;
     zero = 0;
     total = 0;
-    min_v = infinity;
-    max_v = neg_infinity;
+    ext = { min_v = infinity; max_v = neg_infinity };
   }
 
 let alpha t = t.alpha
@@ -105,8 +108,8 @@ let add t v =
     if i > t.hi then t.hi <- i
   end;
   t.total <- t.total + 1;
-  if v < t.min_v then t.min_v <- v;
-  if v > t.max_v then t.max_v <- v
+  if v < t.ext.min_v then t.ext.min_v <- v;
+  if v > t.ext.max_v then t.ext.max_v <- v
 
 let clear t =
   if t.lo <= t.hi then Array.fill t.counts (t.lo - t.offset) (t.hi - t.lo + 1) 0;
@@ -114,8 +117,8 @@ let clear t =
   t.hi <- min_int;
   t.zero <- 0;
   t.total <- 0;
-  t.min_v <- infinity;
-  t.max_v <- neg_infinity
+  t.ext.min_v <- infinity;
+  t.ext.max_v <- neg_infinity
 
 let merge_into ~into src =
   if into.alpha <> src.alpha then
@@ -131,8 +134,8 @@ let merge_into ~into src =
   end;
   into.zero <- into.zero + src.zero;
   into.total <- into.total + src.total;
-  if src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v
+  if src.ext.min_v < into.ext.min_v then into.ext.min_v <- src.ext.min_v;
+  if src.ext.max_v > into.ext.max_v then into.ext.max_v <- src.ext.max_v
 
 let quantile t q =
   if q < 0.0 || q > 1.0 then invalid_arg "Sketch.quantile: q outside [0, 1]";
@@ -140,7 +143,7 @@ let quantile t q =
   else begin
     (* 0-based rank of the order statistic we are after. *)
     let rank = int_of_float (q *. float_of_int (t.total - 1)) in
-    if rank < t.zero then Float.max 0.0 t.min_v
+    if rank < t.zero then Float.max 0.0 t.ext.min_v
     else begin
       let i = ref t.lo and seen = ref (t.zero + t.counts.(t.lo - t.offset)) in
       while !seen <= rank do
@@ -148,7 +151,7 @@ let quantile t q =
         seen := !seen + t.counts.(!i - t.offset)
       done;
       (* Clamp to the observed extremes: the bound only tightens. *)
-      Float.min t.max_v (Float.max t.min_v (value_of t !i))
+      Float.min t.ext.max_v (Float.max t.ext.min_v (value_of t !i))
     end
   end
 

@@ -60,7 +60,7 @@ let bench_json ?seed ?backends ?(params = []) fields =
   let meta = Json.Obj (meta_base_fields m @ [ ("params", Json.Obj (strings params)) ]) in
   Json.to_string (Json.Obj (("meta", meta) :: fields))
 
-let exemplar_json (e : Trace.exemplar) =
+let exemplar_json (e : Metrics.exemplar) =
   Json.Obj
     [
       ("bucket", Json.Int e.bucket);
@@ -68,24 +68,21 @@ let exemplar_json (e : Trace.exemplar) =
       ("value", Json.Number e.value);
     ]
 
-let summary_json ?(exemplars = []) (s : Trace.summary) hist =
+let stream_json ((s : Metrics.summary), hist, exemplars) =
   let hist_json =
-    match hist with
-    | None -> []
-    | Some h ->
-        List.map (fun (b, c) -> Json.List [ Json.Int b; Json.Int c ]) (Prelude.Histogram.to_assoc h)
+    List.map (fun (b, c) -> Json.List [ Json.Int b; Json.Int c ]) (Prelude.Histogram.to_assoc hist)
   in
   Json.Obj
     ([
-       ("count", Json.Int s.Trace.count);
-       ("mean", Json.Number s.Trace.mean);
-       ("stddev", Json.Number s.Trace.stddev);
-       ("ci95", Json.Number s.Trace.ci95);
-       ("min", Json.option (fun v -> Json.Number v) s.Trace.min);
-       ("max", Json.option (fun v -> Json.Number v) s.Trace.max);
-       ("p50", Json.Number s.Trace.p50);
-       ("p90", Json.Number s.Trace.p90);
-       ("p99", Json.Number s.Trace.p99);
+       ("count", Json.Int s.count);
+       ("mean", Json.Number s.mean);
+       ("stddev", Json.Number s.stddev);
+       ("ci95", Json.Number s.ci95);
+       ("min", Json.option (fun v -> Json.Number v) s.min);
+       ("max", Json.option (fun v -> Json.Number v) s.max);
+       ("p50", Json.Number s.p50);
+       ("p90", Json.Number s.p90);
+       ("p99", Json.Number s.p99);
        ("log2_hist", Json.List hist_json);
      ]
     @
@@ -93,57 +90,41 @@ let summary_json ?(exemplars = []) (s : Trace.summary) hist =
     | [] -> []
     | es -> [ ("exemplars", Json.List (List.map exemplar_json es)) ])
 
-let section_json trace =
-  let counters = List.map (fun (name, v) -> (name, Json.Int v)) (Trace.counters trace) in
-  let stats =
-    Trace.summaries trace
-    |> List.map (fun (name, s) ->
-           ( name,
-             summary_json ~exemplars:(Trace.exemplars trace name) s (Trace.hist trace name) ))
+(* A section as flat JSON: counters and streams by canonical key. *)
+let section_json m =
+  let readings = Metrics.readings m in
+  let by_key render field =
+    Json.Obj
+      (List.filter_map
+         (fun (r : Metrics.reading) -> Option.map (fun v -> (r.key, render v)) (field r))
+         readings)
   in
-  Json.Obj [ ("counters", Json.Obj counters); ("stats", Json.Obj stats) ]
+  Json.Obj
+    [
+      ("counters", by_key (fun v -> Json.Int v) (fun r -> r.counter));
+      ("stats", by_key stream_json (fun r -> r.stream));
+    ]
 
-(* One labeled registry as nested JSON: every series carries its parsed
-   identity (base name + label object) next to its rendered value, so a
-   consumer never has to re-parse canonical `name{k="v"}` keys. *)
+(* A section as labeled JSON: every series carries its parsed identity
+   (base name + label object) next to its rendered value, so a consumer
+   never has to re-parse canonical `name{k="v"}` keys. *)
 let labeled_json m =
-  let trace = Metrics.trace m in
-  let counters = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace counters k v) (Trace.counters trace);
-  let gauges = Hashtbl.create 16 in
-  List.iter (fun (k, v) -> Hashtbl.replace gauges k v) (Metrics.gauge_bindings m);
   let series =
-    Metrics.series m
-    |> List.concat_map (fun (name, labels, key) ->
+    Metrics.readings m
+    |> List.concat_map (fun (r : Metrics.reading) ->
            let entry kind fields =
              Json.Obj
                ([
-                  ("name", Json.String name);
-                  ("labels", Json.Obj (strings labels));
+                  ("name", Json.String r.name);
+                  ("labels", Json.Obj (strings r.labels));
                   ("kind", Json.String kind);
                 ]
                @ fields)
            in
-           let counter =
-             match Hashtbl.find_opt counters key with
-             | Some v -> [ entry "counter" [ ("value", Json.Int v) ] ]
-             | None -> []
-           in
-           let stream =
-             match Trace.summary trace key with
-             | Some s ->
-                 [ entry "stream"
-                     [ ("stats",
-                        summary_json ~exemplars:(Trace.exemplars trace key) s
-                          (Trace.hist trace key)) ] ]
-             | None -> []
-           in
-           let gauge =
-             match Hashtbl.find_opt gauges key with
-             | Some v -> [ entry "gauge" [ ("value", Json.Number v) ] ]
-             | None -> []
-           in
-           counter @ stream @ gauge)
+           let entries kind render = function Some v -> [ entry kind (render v) ] | None -> [] in
+           entries "counter" (fun v -> [ ("value", Json.Int v) ]) r.counter
+           @ entries "stream" (fun s -> [ ("stats", stream_json s) ]) r.stream
+           @ entries "gauge" (fun v -> [ ("value", Json.Number v) ]) r.gauge)
   in
   Json.Obj
     [ ("series", Json.List series); ("overflow_routed", Json.Int (Metrics.overflow_routed m)) ]
@@ -177,137 +158,95 @@ let sanitize name =
    series so an empty stream is still visible in the scrape. *)
 let prom_number v = if Float.is_nan v then "NaN" else Json.to_string (Json.Number v)
 
-let prometheus ?(prefix = "nearby") sections =
-  let prefix = sanitize prefix in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (section, trace) ->
-      let base name = Printf.sprintf "%s_%s_%s" prefix (sanitize section) (sanitize name) in
-      List.iter
-        (fun (name, v) ->
-          let metric = base name ^ "_total" in
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s %d\n" metric metric v))
-        (Trace.counters trace);
-      List.iter
-        (fun (name, (s : Trace.summary)) ->
-          let metric = base name in
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s summary\n" metric);
-          List.iter
-            (fun (q, v) ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s{quantile=\"%s\"} %s\n" metric q (prom_number v)))
-            [ ("0.5", s.Trace.p50); ("0.9", s.Trace.p90); ("0.99", s.Trace.p99) ];
-          Buffer.add_string buf
-            (Printf.sprintf "%s_sum %s\n" metric (prom_number (s.Trace.mean *. float_of_int s.Trace.count)));
-          Buffer.add_string buf (Printf.sprintf "%s_count %d\n" metric s.Trace.count);
-          (* Streams with tagged samples additionally expose their log2
-             histogram, each bucket line carrying its latest exemplar in the
-             OpenMetrics style: `... # {trace_id="N"} value`.  Plain
-             Prometheus parsers treat the suffix as a comment. *)
-          match (Trace.exemplars trace name, Trace.hist trace name) with
-          | [], _ | _, None -> ()
-          | exemplars, Some h ->
-              let hist_metric = metric ^ "_hist" in
-              Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" hist_metric);
-              let cumulative = ref 0 in
-              List.iter
-                (fun (bucket, count) ->
-                  cumulative := !cumulative + count;
-                  let le = Printf.sprintf "%g" (Float.pow 2.0 (float_of_int bucket)) in
-                  let exemplar =
-                    match
-                      List.find_opt (fun (e : Trace.exemplar) -> e.bucket = bucket) exemplars
-                    with
-                    | Some e ->
-                        Printf.sprintf " # {trace_id=\"%d\"} %s" e.trace_id
-                          (prom_number e.value)
-                    | None -> ""
-                  in
-                  Buffer.add_string buf
-                    (Printf.sprintf "%s_bucket{le=\"%s\"} %d%s\n" hist_metric le !cumulative
-                       exemplar))
-                (Prelude.Histogram.to_assoc h);
-              Buffer.add_string buf
-                (Printf.sprintf "%s_bucket{le=\"+Inf\"} %d\n" hist_metric
-                   (Prelude.Histogram.total h));
-              Buffer.add_string buf (Printf.sprintf "%s_count %d\n" hist_metric (Prelude.Histogram.total h)))
-        (Trace.summaries trace))
-    sections;
-  Buffer.contents buf
-
-(* Label pairs rendered to the exposition grammar: sorted keys sanitized
-   like metric names, values backslash-escaped (a JSON string literal is
-   a valid quoted label value for every escape the grammar defines).  [extra] appends
-   renderer-owned labels (e.g. quantile) after the user's. *)
+(* Label pairs rendered to the exposition grammar: keys sanitized like
+   metric names, values backslash-escaped (a JSON string literal is a valid
+   quoted label value for every escape the grammar defines).  [extra]
+   appends renderer-owned labels (quantile, le) after the series' own. *)
 let prom_labels ?(extra = []) labels =
   match labels @ extra with
   | [] -> ""
   | pairs ->
       "{"
       ^ String.concat ","
-          (List.map
-             (fun (k, v) -> sanitize k ^ "=" ^ Json.to_string (Json.String v))
-             pairs)
+          (List.map (fun (k, v) -> sanitize k ^ "=" ^ Json.to_string (Json.String v)) pairs)
       ^ "}"
 
-let prometheus_labeled ?(prefix = "nearby") sections =
+let prometheus ?(prefix = "nearby") sections =
   let prefix = sanitize prefix in
   let buf = Buffer.create 4096 in
+  let line fmt = Printf.bprintf buf fmt in
   List.iter
     (fun (section, m) ->
-      let trace = Metrics.trace m in
-      let counters = Hashtbl.create 16 in
-      List.iter (fun (k, v) -> Hashtbl.replace counters k v) (Trace.counters trace);
-      let gauges = Hashtbl.create 16 in
-      List.iter (fun (k, v) -> Hashtbl.replace gauges k v) (Metrics.gauge_bindings m);
       let typed = Hashtbl.create 16 in
       let emit_type metric kind =
         if not (Hashtbl.mem typed metric) then begin
           Hashtbl.add typed metric ();
-          Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" metric kind)
+          line "# TYPE %s %s\n" metric kind
         end
       in
       List.iter
-        (fun (name, labels, key) ->
-          let metric =
-            Printf.sprintf "%s_%s_%s" prefix (sanitize section) (sanitize name)
-          in
-          (match Hashtbl.find_opt counters key with
-          | Some v ->
+        (fun (r : Metrics.reading) ->
+          let metric = Printf.sprintf "%s_%s_%s" prefix (sanitize section) (sanitize r.name) in
+          let labels = prom_labels r.labels in
+          Option.iter
+            (fun v ->
               (* Counters get the conventional _total suffix — unless the
                  source name already carries it (wire_bytes_total etc.). *)
               let metric =
-                if String.ends_with ~suffix:"_total" metric then metric
-                else metric ^ "_total"
+                if String.ends_with ~suffix:"_total" metric then metric else metric ^ "_total"
               in
               emit_type metric "counter";
-              Buffer.add_string buf
-                (Printf.sprintf "%s%s %d\n" metric (prom_labels labels) v)
-          | None -> ());
-          (match Trace.summary trace key with
-          | Some s ->
+              line "%s%s %d\n" metric labels v)
+            r.counter;
+          Option.iter
+            (fun ((s : Metrics.summary), hist, exemplars) ->
               emit_type metric "summary";
               List.iter
                 (fun (q, v) ->
-                  Buffer.add_string buf
-                    (Printf.sprintf "%s%s %s\n" metric
-                       (prom_labels ~extra:[ ("quantile", q) ] labels)
-                       (prom_number v)))
-                [ ("0.5", s.Trace.p50); ("0.9", s.Trace.p90); ("0.99", s.Trace.p99) ];
-              Buffer.add_string buf
-                (Printf.sprintf "%s_sum%s %s\n" metric (prom_labels labels)
-                   (prom_number (s.Trace.mean *. float_of_int s.Trace.count)));
-              Buffer.add_string buf
-                (Printf.sprintf "%s_count%s %d\n" metric (prom_labels labels)
-                   s.Trace.count)
-          | None -> ());
-          match Hashtbl.find_opt gauges key with
-          | Some v ->
+                  line "%s%s %s\n" metric
+                    (prom_labels ~extra:[ ("quantile", q) ] r.labels)
+                    (prom_number v))
+                [ ("0.5", s.p50); ("0.9", s.p90); ("0.99", s.p99) ];
+              line "%s_sum%s %s\n" metric labels (prom_number (s.mean *. float_of_int s.count));
+              line "%s_count%s %d\n" metric labels s.count;
+              (* Streams with tagged samples additionally expose their log2
+                 histogram, each bucket line carrying its latest exemplar in
+                 the OpenMetrics style: `... # {trace_id="N"} value`.  Plain
+                 Prometheus parsers treat the suffix as a comment. *)
+              if exemplars <> [] then begin
+                let hist_metric = metric ^ "_hist" in
+                emit_type hist_metric "histogram";
+                let bucket_line le count suffix =
+                  line "%s_bucket%s %d%s\n" hist_metric
+                    (prom_labels ~extra:[ ("le", le) ] r.labels)
+                    count suffix
+                in
+                let cumulative = ref 0 in
+                List.iter
+                  (fun (bucket, count) ->
+                    cumulative := !cumulative + count;
+                    let exemplar =
+                      match
+                        List.find_opt (fun (e : Metrics.exemplar) -> e.bucket = bucket) exemplars
+                      with
+                      | Some e ->
+                          Printf.sprintf " # {trace_id=\"%d\"} %s" e.trace_id
+                            (prom_number e.value)
+                      | None -> ""
+                    in
+                    bucket_line (Printf.sprintf "%g" (Float.pow 2.0 (float_of_int bucket)))
+                      !cumulative exemplar)
+                  (Prelude.Histogram.to_assoc hist);
+                bucket_line "+Inf" (Prelude.Histogram.total hist) "";
+                line "%s_count%s %d\n" hist_metric labels (Prelude.Histogram.total hist)
+              end)
+            r.stream;
+          Option.iter
+            (fun v ->
               emit_type metric "gauge";
-              Buffer.add_string buf
-                (Printf.sprintf "%s%s %s\n" metric (prom_labels labels) (prom_number v))
-          | None -> ())
-        (Metrics.series m))
+              line "%s%s %s\n" metric labels (prom_number v))
+            r.gauge)
+        (Metrics.readings m))
     sections;
   Buffer.contents buf
 

@@ -1,15 +1,15 @@
 (** Metric serialization: JSON snapshots and Prometheus text exposition.
 
-    A metrics document is a list of named sections, each backed by a
-    {!Trace.t} — e.g. [("server", server_trace); ("registry", timing_trace)].
-    Counters export as integers / Prometheus counters; observe streams
-    export their full {!Trace.summary} (count, mean, stddev, ci95, min/max,
-    p50/p90/p99, power-of-two histogram) / Prometheus summaries.  Empty
-    streams serialize with [null] min/max/quantiles — serialization never
-    raises.
+    A metrics document is a list of named sections, each one {!Metrics.t}
+    store — e.g. [("server", server_trace); ("fleet", labeled)].  Counters
+    export as integers / Prometheus counters; streams export their full
+    {!Metrics.summary} (count, mean, stddev, ci95, min/max, p50/p90/p99,
+    power-of-two histogram) / Prometheus summaries; gauges as gauges.
+    Empty streams serialize with [null] min/max/quantiles — serialization
+    never raises.
 
     Streams whose samples were tagged with trace ids
-    ({!Trace.observe}[ ~trace_id]) additionally export their tail
+    ({!Metrics.observe_traced}) additionally export their tail
     exemplars: in JSON as an ["exemplars"] array per stream (bucket,
     trace_id, value), in Prometheus as a [<stream>_hist] log2 histogram
     whose bucket lines carry OpenMetrics-style
@@ -32,9 +32,6 @@ val capture_meta : ?seed:int -> ?backends:string list -> ?extra:(string * string
     domain count), so artifact trajectories (BENCH_*.json) are comparable
     across commits, toolchains and machines. *)
 
-val meta_json : meta -> Json.t
-(** The metadata as one JSON object. *)
-
 val bench_json :
   ?seed:int -> ?backends:string list -> ?params:(string * string) list ->
   (string * Json.t) list -> string
@@ -51,7 +48,7 @@ val write_bench :
 (** {!bench_json} straight to [path]. *)
 
 val labeled_json : Metrics.t -> Json.t
-(** One labeled registry as nested JSON: a ["series"] array whose entries
+(** One store as nested JSON: a ["series"] array whose entries
     carry the parsed identity ([name], [labels] object, [kind] ∈
     counter/stream/gauge) next to the rendered value — no consumer ever
     re-parses canonical [name{k="v"}] keys — plus ["overflow_routed"]. *)
@@ -61,11 +58,11 @@ val metrics_json :
   ?timeseries:(string * Timeseries.t) list ->
   ?labeled:(string * Metrics.t) list ->
   ?runtime:Runtime_profile.t ->
-  (string * Trace.t) list ->
+  (string * Metrics.t) list ->
   string
 (** A complete JSON document (one line, newline-terminated): optional
-    ["meta"] plus ["sections"], one
-    entry per named trace with its counters and stat summaries.  When
+    ["meta"] plus ["sections"], one entry per named store with its
+    counters and stat summaries by canonical key.  When
     [labeled] is non-empty the document gains a ["labeled"] key (one
     {!labeled_json} per named registry); [runtime] adds a ["runtime"]
     key ({!Runtime_profile.to_json}: per-phase GC deltas, domain-pool
@@ -74,20 +71,16 @@ val metrics_json :
     {!Timeseries.to_json} (windowed quality/latency streams alongside the
     whole-run aggregates). *)
 
-val prometheus : ?prefix:string -> (string * Trace.t) list -> string
-(** Prometheus text exposition: [<prefix>_<section>_<counter>_total]
-    counters and [<prefix>_<section>_<stream>] summaries with
-    quantile labels.  Default prefix ["nearby"].  Every name component —
-    prefix included — is sanitized to the exposition grammar
-    ([[a-zA-Z0-9_]], no leading digit). *)
-
-val prometheus_labeled : ?prefix:string -> (string * Metrics.t) list -> string
-(** Labeled registries in the same exposition:
-    [<prefix>_<section>_<name>{k="v",…}] lines — counters with a [_total]
-    suffix (not doubled when the name already ends in [_total]), streams
-    as summaries (the [quantile] label appended after the series labels),
-    gauges as gauges.  Label keys are sanitized like
-    metric names; values are backslash-escaped. *)
+val prometheus : ?prefix:string -> (string * Metrics.t) list -> string
+(** Prometheus text exposition, one [<prefix>_<section>_<name>] family per
+    base name: series labels render as [{k="v",…}] (none for a flat
+    series); counters carry a [_total] suffix (not doubled when the name
+    already ends in [_total]); streams are summaries (the [quantile] label
+    appended after the series labels), plus a [<name>_hist] log2
+    histogram with exemplars when the stream has tagged samples; gauges
+    are gauges.  Default prefix ["nearby"].  Every name component and
+    label key is sanitized to the exposition grammar ([[a-zA-Z0-9_]], no
+    leading digit); label values are backslash-escaped. *)
 
 val write_file : string -> string -> unit
 (** [write_file path contents]. *)

@@ -1,95 +1,170 @@
-(** Labeled (dimensional) metrics.
+(** The metric store: every counter, stream and gauge of a run.
 
-    A registry of metric series identified by a base name plus a label
-    set — [registry_query_ns{backend="sharded", shard="3"}] — in the
-    Prometheus data model.  Label sets are canonicalized (sorted by key),
-    so label order never splits a series.  Each labeled series is backed
-    by one {!Trace} counter or stream, which gives every series the full
-    Welford/histogram/sketch machinery and makes registries mergeable:
-    {!merge_trace} files a whole subsystem trace under a label set, and
-    {!merge_into} rolls one registry up into another — the mechanism
-    behind per-shard, per-replica and per-backend streams combining into
-    one fleet-wide view.
+    A series is a base name plus a label set, in the Prometheus data model
+    — [registry_shard_query_ns{shard="3"}].  Label sets are canonicalized
+    (sorted by key), so label order never splits a series, and the empty
+    label set is the flat case: [incr t "join"] needs no labels at all.
+    {!Trace} is this module under its older name.
 
-    {b Cardinality bound.} Per base name at most [max_series_per_name]
-    distinct label sets are stored; further label sets collapse into the
-    reserved [{other="true"}] overflow series ({!overflow_labels}).  A
-    runaway label value (peer ids, raw addresses) degrades into one
-    aggregate series instead of growing memory without bound. *)
+    A {b counter} is an [int] cell.  A {b stream} keeps a Welford
+    accumulator, one mergeable quantile sketch ({!Prelude.Sketch},
+    relative error {!Prelude.Sketch.default_alpha}), a power-of-two
+    histogram and per-bucket exemplars; every quantile read — {!summary},
+    {!quantile}, the {!Export} serializations — comes from the sketch, on
+    live and merged streams alike.  A {b gauge} holds the last value set.
+
+    {b Handles.}  {!counter_ref}, {!stream} and {!gauge_ref} resolve a
+    series once; writes through the handle do no label work and no
+    lookup, and counter bumps and stream samples allocate nothing.  The
+    keyed writers ({!incr}, {!observe}, …) resolve on every call and suit
+    cold paths.  Handles stay valid across {!reset}.
+
+    {b Cardinality bound.}  Per base name at most [max_series_per_name]
+    label sets are stored; further ones collapse into the reserved
+    {!overflow_labels} series, so a runaway label value degrades into one
+    aggregate series instead of unbounded memory. *)
 
 type t
 
 type labels = (string * string) list
 (** Label pairs.  Keys must be unique (checked); order is irrelevant. *)
 
+type summary = {
+  count : int;
+  mean : float;
+  stddev : float;
+  ci95 : float;  (** Half-width of the 95% CI of the mean. *)
+  min : float option;  (** [None] when the stream is empty. *)
+  max : float option;
+  p50 : float;  (** {!quantile}[ 0.5]; [nan] when the stream is empty. *)
+  p90 : float;
+  p99 : float;
+}
+
+type exemplar = {
+  bucket : int;  (** {!Prelude.Histogram.log2_bucket} of the sample. *)
+  trace_id : int;
+  value : float;
+}
+
 val create : ?max_series_per_name:int -> unit -> t
-(** [max_series_per_name] caps distinct label sets per base name
-    (default 64).  @raise Invalid_argument when below 1. *)
+(** [max_series_per_name] defaults to 64; @raise Invalid_argument below 1. *)
 
 val overflow_labels : labels
-(** [{other="true"}] — the reserved label set absorbing series beyond the
-    cardinality cap. *)
+(** [{other="true"}]: the series absorbing label sets beyond the cap. *)
 
 val canonical_key : string -> labels -> string
-(** The flattened series identity: [name{k="v",…}] with labels sorted and
-    values escaped, or just [name] for an empty label set.
+(** The flattened identity [name{k="v",…}] (labels sorted, values escaped
+    as JSON strings), or [name] for the empty label set.  Built once per
+    series, when it is registered.
     @raise Invalid_argument on duplicate label keys. *)
 
-(** {1 Writing} *)
+val of_counters : (string * int) list -> t
+(** A fresh store holding the given flat counters — the adapter for
+    subsystems that keep plain integers (e.g. {!Transport.stats}). *)
 
-val incr : t -> string -> labels:labels -> unit
-val add_count : t -> string -> labels:labels -> int -> unit
+(** {1 Handles} *)
 
-val observe : ?trace_id:int -> t -> string -> labels:labels -> float -> unit
-(** Append a sample to the labeled stream ({!Trace.observe} semantics,
-    exemplar tagging included). *)
+type stream
 
-val set : t -> string -> labels:labels -> float -> unit
-(** Gauge write: last value wins (shard occupancy, utilization shares). *)
+val counter_ref : ?labels:labels -> t -> string -> int ref
+(** The live counter cell, registering the series on first use. *)
 
-(** {1 Reading} *)
+val gauge_ref : ?labels:labels -> t -> string -> float ref
+(** The live gauge cell, registering the series on first use (it reads 0
+    until set: resolve it where the first value is set). *)
 
-val counter : t -> string -> labels:labels -> int
+val stream : ?labels:labels -> t -> string -> stream
+(** The live stream, registering the series on first use. *)
+
+val observe_stream : stream -> float -> unit
+
+val observe_traced : stream -> trace_id:int -> float -> unit
+(** {!observe_stream}, also keeping the sample as the latest {!exemplar}
+    of its log2 bucket, so the stream's tail stays cross-linked to
+    concrete traces (OpenMetrics-style).  Trace id 0 (the noop span
+    sink's {!Span.null_context}) keeps no exemplar. *)
+
+(** {1 Keyed writes} *)
+
+val incr : ?labels:labels -> t -> string -> unit
+val add_count : ?labels:labels -> t -> string -> int -> unit
+
+val observe : ?trace_id:int -> ?labels:labels -> t -> string -> float -> unit
+(** {!observe_traced}; no exemplar without [trace_id]. *)
+
+val set : ?labels:labels -> t -> string -> float -> unit
+(** Gauge write: last value wins. *)
+
+(** {1 Reading}
+
+    Readers never register a series. *)
+
+val counter : ?labels:labels -> t -> string -> int
 (** 0 when the series was never written. *)
 
-val summary : t -> string -> labels:labels -> Trace.summary option
-val quantile : t -> string -> labels:labels -> float -> float option
-(** Sketch-backed: any [q] in [\[0, 1\]], relative error at most
-    {!Prelude.Sketch.default_alpha}. *)
+val sum_counters : ?where:(labels -> bool) -> t -> string -> int
+(** The sum of the counters under a base name whose labels satisfy
+    [where] (default: all) — e.g. one message kind over every direction. *)
 
-val gauge : t -> string -> labels:labels -> float option
+val gauge : ?labels:labels -> t -> string -> float option
+val stat : ?labels:labels -> t -> string -> Prelude.Stats.t option
+val summary : ?labels:labels -> t -> string -> summary option
+
+val quantile : ?labels:labels -> t -> string -> float -> float option
+(** Any [q] in [\[0, 1\]], from the sketch: within relative error
+    {!Prelude.Sketch.default_alpha} of the exact order statistic of rank
+    [floor (q * (count - 1))], merged or not.  [None] for an unknown
+    stream, [nan] before the first sample.
+    @raise Invalid_argument on [q] outside [\[0, 1\]]. *)
+
+val hist : ?labels:labels -> t -> string -> Prelude.Histogram.t option
+(** The stream's {!Prelude.Histogram.log2_bucket} histogram. *)
+
+val exemplars : ?labels:labels -> t -> string -> exemplar list
+(** The latest exemplar per populated log2 bucket, ascending by bucket. *)
+
+val top_exemplar : ?labels:labels -> t -> string -> exemplar option
+(** The exemplar of the highest bucket: the trace to open when the tail
+    looks wrong. *)
+
+val counters : t -> (string * int) list
+(** Every counter as [(canonical key, value)], sorted by key. *)
 
 val series : t -> (string * labels * string) list
-(** Every registered series as [(name, labels, canonical key)], sorted by
-    canonical key. *)
+(** Every series as [(name, labels, canonical key)], sorted by key. *)
 
-val names : t -> string list
-(** Distinct base names, sorted. *)
+type reading = {
+  name : string;
+  labels : labels;
+  key : string;
+  counter : int option;  (** [None]: no counter under this identity. *)
+  stream : (summary * Prelude.Histogram.t * exemplar list) option;
+  gauge : float option;
+}
+
+val readings : t -> reading list
+(** Every series with its values, sorted by key: what {!Export} renders. *)
 
 val series_count : t -> string -> int
-(** Distinct label sets stored under the base name (the overflow series
-    counts as one). *)
+(** Label sets stored under a base name (the overflow series counts). *)
 
 val overflow_routed : t -> int
-(** Writes that were rerouted to the overflow series because their base
-    name was at the cardinality cap. *)
-
-val trace : t -> Trace.t
-(** The backing flat trace, keyed by canonical series keys — what the
-    {!Export} serializers iterate. *)
-
-val gauge_bindings : t -> (string * float) list
-(** Every gauge as [(canonical key, value)], sorted. *)
+(** Resolutions rerouted to the overflow series: one per keyed write, one
+    per handle resolution. *)
 
 (** {1 Merging} *)
 
-val merge_trace : t -> labels:labels -> Trace.t -> unit
-(** File every counter and stream of a flat trace under [labels]:
-    counters add, streams merge within the sketch error bound (see
-    {!Trace.merge_into}).  The per-replica scrape primitive —
-    [merge_trace m ~labels:["replica", "2"] (Server.trace s)]. *)
+val merge_into : ?labels:labels -> into:t -> t -> unit
+(** Fold every series of [src] into [into], re-resolving identities
+    against [into]'s cap; [src] is unchanged.  Counters add (zeros are
+    skipped); Welford accumulators, histograms and sketches combine
+    losslessly (merged quantiles equal those of one stream fed the
+    concatenated samples); exemplars and gauges take [src]'s values.
+    [labels] are added to every series on the way in:
+    [merge_into ~labels:["replica", "2"] ~into (Server.trace s)] files a
+    replica's flat store under its index — the fleet roll-up primitive. *)
 
-val merge_into : into:t -> t -> unit
-(** Roll one registry up into another, re-resolving every series identity
-    against [into]'s cardinality caps ([src] is unchanged).  Gauges take
-    [src]'s value on collision. *)
+val reset : t -> unit
+(** Zero every counter and empty every stream {e in place}; handles keep
+    pointing at live cells.  Gauges keep their values. *)

@@ -23,34 +23,62 @@ let validate_config c =
   if c.jitter_frac < 0.0 || c.jitter_frac >= 1.0 then
     invalid_arg "Rpc: jitter_frac outside [0, 1)"
 
+(* A counter written flat into the call trace and, for outcomes, mirrored
+   dimensionally as [rpc_outcomes{outcome=...}].  Every cell resolves on
+   first use, so a series appears exactly when it is first written. *)
+type tally = int ref Lazy.t list
+
+let count = List.iter (fun c -> incr (Lazy.force c))
+
 type t = {
   config : config;
   transport : Transport.t;
   rng : Prelude.Prng.t option;
   trace : Trace.t;
-  labeled : Metrics.t option;
   recorder : Flight_recorder.t option;
   spans : Span.sink;
+  calls : tally;
+  attempts : tally;
+  retries : tally;
+  no_target : tally;
+  unserved : tally;
+  ok : tally;
+  timeouts : tally;
+  gave_up : tally;
+  latency : Metrics.stream Lazy.t list;  (* flat, then the labeled mirror *)
 }
 
-let create ?(config = default_config) ?rng ?trace ?labeled ?recorder
-    ?(spans = Span.noop) transport =
+let create ?(config = default_config) ?rng ?labeled ?recorder ?(spans = Span.noop) transport =
   validate_config config;
-  let trace = match trace with Some t -> t | None -> Trace.create () in
-  { config; transport; rng; trace; labeled; recorder; spans }
-
-(* Dimensional mirror of the outcome counters: one `rpc_outcomes` series
-   per outcome label, so a fleet dashboard reads the ok/timeout mix
-   without knowing each flat counter name. *)
-let labeled_outcome t outcome =
-  match t.labeled with
-  | None -> ()
-  | Some m -> Metrics.incr m "rpc_outcomes" ~labels:[ ("outcome", outcome) ]
-
-let labeled_latency t outcome v =
-  match t.labeled with
-  | None -> ()
-  | Some m -> Metrics.observe m "rpc_latency_ms" ~labels:[ ("outcome", outcome) ] v
+  let trace = Trace.create () in
+  let tally ?outcome name =
+    lazy (Trace.counter_ref trace name)
+    ::
+    (match (labeled, outcome) with
+    | Some m, Some o -> [ lazy (Metrics.counter_ref m "rpc_outcomes" ~labels:[ ("outcome", o) ]) ]
+    | _ -> [])
+  in
+  {
+    config;
+    transport;
+    rng;
+    trace;
+    recorder;
+    spans;
+    calls = tally "rpc_calls";
+    attempts = tally "rpc_attempts";
+    retries = tally "rpc_retries";
+    no_target = tally ~outcome:"no_target" "rpc_no_target";
+    unserved = tally ~outcome:"unserved" "rpc_unserved";
+    ok = tally ~outcome:"ok" "rpc_ok";
+    timeouts = tally ~outcome:"timeout" "rpc_timeouts";
+    gave_up = tally ~outcome:"gave_up" "rpc_gave_up";
+    latency =
+      lazy (Trace.stream trace "rpc_latency_ms")
+      :: Option.fold ~none:[]
+           ~some:(fun m -> [ lazy (Metrics.stream m "rpc_latency_ms" ~labels:[ ("outcome", "ok") ]) ])
+           labeled;
+  }
 
 let trace t = t.trace
 let spans t = t.spans
@@ -96,15 +124,14 @@ let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_b
   let reply_parts_of v =
     match reply_parts with Some f -> f v | None -> [ ("other", reply_bytes v) ]
   in
-  Trace.incr t.trace "rpc_calls";
+  count t.calls;
   let started_at = Engine.now engine in
   (* One cell per call: the first reply to arrive settles it; later replies
      from slower attempts and stale timeout events are ignored. *)
   let settled = ref false in
   let give_up () =
     settled := true;
-    Trace.incr t.trace "rpc_gave_up";
-    labeled_outcome t "gave_up";
+    count t.gave_up;
     record t ~args:[ ("src", Span.Int src) ] "gave_up";
     on_give_up ()
   in
@@ -112,8 +139,8 @@ let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_b
     if not !settled then begin
       if n > t.config.max_attempts then give_up ()
       else begin
-        Trace.incr t.trace "rpc_attempts";
-        if n > 1 then Trace.incr t.trace "rpc_retries";
+        count t.attempts;
+        if n > 1 then count t.retries;
         (* One child span per attempt: the retry index and per-attempt
            target make client-side failover visible as sibling spans of one
            trace.  Spans run on the engine clock, not the sink's. *)
@@ -129,8 +156,7 @@ let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_b
         | None ->
             (* No live target known right now; the backoff below doubles as
                a wait for one to come back. *)
-            Trace.incr t.trace "rpc_no_target";
-            labeled_outcome t "no_target";
+            count t.no_target;
             record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "no_target";
             close "no_target"
         | Some target ->
@@ -146,8 +172,7 @@ let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_b
                 | None ->
                     (* The server was down when the request arrived: it is
                        consumed without a reply, exactly like a lost one. *)
-                    Trace.incr t.trace "rpc_unserved";
-                    labeled_outcome t "unserved";
+                    count t.unserved;
                     record t
                       ~args:[ ("src", Span.Int src); ("dst", Span.Int target) ]
                       "unserved"
@@ -156,10 +181,12 @@ let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_b
                       ~parts:(reply_parts_of v) (fun () ->
                         if not !settled then begin
                           settled := true;
-                          Trace.incr t.trace "rpc_ok";
-                          labeled_outcome t "ok";
-                          Trace.observe t.trace "rpc_latency_ms" (Engine.now engine -. started_at);
-                          labeled_latency t "ok" (Engine.now engine -. started_at);
+                          count t.ok;
+                          List.iter
+                            (fun s ->
+                              Metrics.observe_stream (Lazy.force s)
+                                (Engine.now engine -. started_at))
+                            t.latency;
                           record t
                             ~args:
                               [
@@ -174,8 +201,7 @@ let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_b
                         end)));
         Engine.schedule engine ~delay:t.config.timeout_ms (fun () ->
             if not !settled then begin
-              Trace.incr t.trace "rpc_timeouts";
-              labeled_outcome t "timeout";
+              count t.timeouts;
               record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "timeout";
               close "timeout";
               if n >= t.config.max_attempts then give_up ()

@@ -37,7 +37,7 @@ val default_config : config
     20% jitter. *)
 
 val create :
-  ?config:config -> ?rng:Prelude.Prng.t -> ?trace:Trace.t -> ?labeled:Metrics.t ->
+  ?config:config -> ?rng:Prelude.Prng.t -> ?labeled:Metrics.t ->
   ?recorder:Flight_recorder.t -> ?spans:Span.sink -> Transport.t -> t
 (** [recorder] receives one ["rpc"]-kind event per notable outcome
     (timeout, failed-over attempt without a target, unserved request,

@@ -13,6 +13,8 @@ type talker = {
   recv_msgs : int;
 }
 
+type wire_cells = { byte_count : int ref; msg_count : int ref }
+
 type t = {
   engine : Engine.t;
   oracle : Traceroute.Route_oracle.t;
@@ -32,6 +34,11 @@ type t = {
   mutable metrics : Metrics.t option;
   mutable timeseries : Timeseries.t option;
   talkers : (Topology.Graph.node, tally) Hashtbl.t;
+  (* Series handles, resolved against the current sinks the first time a
+     label set is written and dropped when a sink changes. *)
+  delivered : (string * string, wire_cells) Hashtbl.t;  (* (kind, dir) -> cells *)
+  dropped : (string, wire_cells) Hashtbl.t;  (* reason -> cells *)
+  kind_series : (string, Timeseries.series) Hashtbl.t;  (* kind -> "wire_bytes:<kind>" *)
 }
 
 let default_kind = "other"
@@ -63,13 +70,23 @@ let create ?latency ?rng ?(loss_prob = 0.0) ?metrics ?timeseries engine oracle =
     metrics;
     timeseries;
     talkers = Hashtbl.create 64;
+    delivered = Hashtbl.create 16;
+    dropped = Hashtbl.create 4;
+    kind_series = Hashtbl.create 16;
   }
 
 let engine t = t.engine
 
 let set_wire_sinks ?metrics ?timeseries t =
-  (match metrics with Some _ -> t.metrics <- metrics | None -> ());
-  match timeseries with Some _ -> t.timeseries <- timeseries | None -> ()
+  if Option.is_some metrics then begin
+    t.metrics <- metrics;
+    Hashtbl.reset t.delivered;
+    Hashtbl.reset t.dropped
+  end;
+  if Option.is_some timeseries then begin
+    t.timeseries <- timeseries;
+    Hashtbl.reset t.kind_series
+  end
 
 let set_loss_prob t loss_prob =
   check_loss_prob ~who:"Transport.set_loss_prob" ~rng:t.rng loss_prob;
@@ -116,6 +133,30 @@ let tally_of t node =
       Hashtbl.replace t.talkers node tl;
       tl
 
+(* [resolve sink key] on a cache miss.  [resolve] is a top-level
+   function, so a hit allocates no closure. *)
+let memo table key resolve sink =
+  match Hashtbl.find table key with
+  | v -> v
+  | exception Not_found ->
+      let v = resolve sink key in
+      Hashtbl.add table key v;
+      v
+
+(* The labeled (bytes, msgs) counter pair [<name>_bytes_total],
+   [<name>_msgs_total], bumped once per message. *)
+let wire_cells m name labels =
+  let byte_count = Metrics.counter_ref m (name ^ "_bytes_total") ~labels in
+  { byte_count; msg_count = Metrics.counter_ref m (name ^ "_msgs_total") ~labels }
+
+let delivered_cells m (kind, dir) = wire_cells m "wire" [ ("kind", kind); ("dir", dir) ]
+let dropped_cells m reason = wire_cells m "wire_dropped" [ ("reason", reason) ]
+let kind_series ts kind = Timeseries.series ts ("wire_bytes:" ^ kind)
+
+let count c bytes =
+  c.byte_count := !(c.byte_count) + bytes;
+  incr c.msg_count
+
 let account_drop t ~reason ~total =
   (match reason with
   | `Loss ->
@@ -136,8 +177,7 @@ let account_drop t ~reason ~total =
         | `Unreachable -> "unreachable"
         | `Partition -> "partition"
       in
-      Metrics.add_count m "wire_dropped_bytes_total" ~labels:[ ("reason", reason) ] total;
-      Metrics.incr m "wire_dropped_msgs_total" ~labels:[ ("reason", reason) ]
+      count (memo t.dropped reason dropped_cells m) total
 
 (* One delivered message: whole-run counters, per-endpoint tallies, then the
    dimensional view — each [(kind, bytes)] part feeds its own labeled series,
@@ -156,12 +196,7 @@ let account_delivered t ~src ~dst ~dir ~parts ~total =
   (match t.metrics with
   | None -> ()
   | Some m ->
-      List.iter
-        (fun (kind, bytes) ->
-          let labels = [ ("kind", kind); ("dir", dir) ] in
-          Metrics.add_count m "wire_bytes_total" ~labels bytes;
-          Metrics.incr m "wire_msgs_total" ~labels)
-        parts);
+      List.iter (fun (kind, bytes) -> count (memo t.delivered (kind, dir) delivered_cells m) bytes) parts);
   match t.timeseries with
   | None -> ()
   | Some ts ->
@@ -169,7 +204,8 @@ let account_delivered t ~src ~dst ~dir ~parts ~total =
       Timeseries.observe ts "wire_bytes" ~now (float_of_int total);
       List.iter
         (fun (kind, bytes) ->
-          Timeseries.observe ts ("wire_bytes:" ^ kind) ~now (float_of_int bytes))
+          Timeseries.observe_series ts (memo t.kind_series kind kind_series ts) ~now
+            (float_of_int bytes))
         parts
 
 let send_parts ?(dir = default_dir) t ~src ~dst ~parts handler =

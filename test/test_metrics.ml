@@ -79,7 +79,7 @@ let test_merge_trace_under_label () =
   Trace.add_count flat "join" 3;
   List.iter (Trace.observe flat "join_ms") [ 5.0; 15.0 ];
   let m = Metrics.create () in
-  Metrics.merge_trace m ~labels:[ ("replica", "2") ] flat;
+  Metrics.merge_into ~labels:[ ("replica", "2") ] ~into:m flat;
   Alcotest.(check int) "counter filed under label" 3
     (Metrics.counter m "join" ~labels:[ ("replica", "2") ]);
   (match Metrics.summary m "join_ms" ~labels:[ ("replica", "2") ] with
@@ -108,7 +108,7 @@ let test_prometheus_labeled () =
   List.iter (fun v -> Metrics.observe m "join_ms" ~labels:[ ("replica", "0") ] v)
     [ 1.0; 2.0; 3.0 ];
   Metrics.set m "shard_members" ~labels:[ ("shard", "1") ] 7.0;
-  let text = Export.prometheus_labeled [ ("fleet", m) ] in
+  let text = Export.prometheus [ ("fleet", m) ] in
   check_has "counter line" text "nearby_fleet_rpc_outcomes_total{outcome=\"ok\"} 12";
   check_has "stream count line" text "nearby_fleet_join_ms_count{replica=\"0\"} 3";
   check_has "quantile label appended" text "quantile=\"0.99\"";
@@ -124,7 +124,6 @@ let test_prometheus_labeled () =
    absorbs a merge. *)
 let test_one_answer_per_stream () =
   let labels = [ ("replica", "0") ] in
-  let key = Metrics.canonical_key "join_ms" labels in
   let pareto seed n =
     let rng = Prelude.Prng.create seed in
     List.init n (fun _ -> 1.0 /. (1.0 -. Prelude.Prng.float rng 0.999))
@@ -147,14 +146,14 @@ let test_one_answer_per_stream () =
           |> Option.get
       | _ -> Alcotest.fail "no series in labeled json"
     in
-    let prom = Export.prometheus_labeled [ ("fleet", m) ] in
+    let prom = Export.prometheus [ ("fleet", m) ] in
     List.iter
       (fun (q, label, field, from_summary) ->
         let what = Printf.sprintf "%s p%s" stage field in
         let expect = Option.get (Metrics.quantile m "join_ms" ~labels q) in
         Alcotest.(check (float 0.0)) (what ^ ": summary") expect from_summary;
         Alcotest.(check (float 0.0)) (what ^ ": Trace.quantile") expect
-          (Option.get (Trace.quantile (Metrics.trace m) key q));
+          (Option.get (Trace.quantile m "join_ms" ~labels q));
         Alcotest.(check (option (float 0.0))) (what ^ ": labeled json")
           (Some (float_of_string (rendered expect)))
           (Option.bind (Json.member ("p" ^ field) stats) Json.as_float);
@@ -163,7 +162,7 @@ let test_one_answer_per_stream () =
              (rendered expect)))
       [ (0.5, "0.5", "50", s.p50); (0.9, "0.9", "90", s.p90); (0.99, "0.99", "99", s.p99) ];
     (* Any q, not just the three exported ones. *)
-    match Trace.quantile (Metrics.trace m) key 0.75 with
+    match Trace.quantile m "join_ms" ~labels 0.75 with
     | Some v when Float.is_finite v && v >= 1.0 -> ()
     | Some v -> Alcotest.failf "%s p75 = %g" stage v
     | None -> Alcotest.failf "%s: no p75" stage
@@ -213,7 +212,7 @@ let test_prometheus_labeled_escaping () =
   let m = Metrics.create () in
   let path = "C:\\temp\\\"quoted\"" and note = "line1\nline2" in
   Metrics.add_count m "wire_bytes" ~labels:[ ("path", path); ("note", note) ] 7;
-  let text = Export.prometheus_labeled [ ("fleet", m) ] in
+  let text = Export.prometheus [ ("fleet", m) ] in
   let sample =
     match
       List.find_opt
@@ -232,6 +231,87 @@ let test_prometheus_labeled_escaping () =
   Alcotest.(check string) "quoted/backslashed value round-trips" path
     (List.assoc "path" labels);
   Alcotest.(check string) "newline value round-trips" note (List.assoc "note" labels)
+
+(* Handle writes are the hot path: a warm counter bump and a stream
+   observe, untagged or tagged, add no minor-heap words.  The sample is
+   bound once outside the loop, so the loop measures the write alone. *)
+let test_handle_writes_allocate_nothing () =
+  let m = Metrics.create () in
+  let hits = Metrics.counter_ref m "hits" ~labels:[ ("kind", "query"); ("dir", "send") ] in
+  let lat = Metrics.stream m "lat_ns" ~labels:[ ("backend", "tree") ] in
+  let v = Sys.opaque_identity 1234.5 in
+  let warm () =
+    incr hits;
+    Metrics.observe_stream lat v;
+    Metrics.observe_traced lat ~trace_id:1 v
+  in
+  warm ();
+  let words f =
+    let before = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      f i
+    done;
+    Gc.minor_words () -. before
+  in
+  (* The two [Gc.minor_words] reads box one float each. *)
+  let baseline = words (fun _ -> ()) in
+  let check what f = Alcotest.(check (float 0.0)) what baseline (words f) in
+  check "counter bump" (fun _ -> incr hits);
+  check "observe" (fun _ -> Metrics.observe_stream lat v);
+  check "observe with trace_id" (fun i -> Metrics.observe_traced lat ~trace_id:i v);
+  Alcotest.(check int) "bumps landed" 10_001
+    (Metrics.counter m "hits" ~labels:[ ("dir", "send"); ("kind", "query") ]);
+  Alcotest.(check int) "samples landed" 20_002
+    (Option.get (Metrics.summary m "lat_ns" ~labels:[ ("backend", "tree") ])).count
+
+(* Golden export: a fixed store — flat counters (one registered at zero),
+   a stream with exemplars, an emptied section, labeled counters with a
+   value needing escapes, a name already ending in _total, streams,
+   gauges and an overflow series — must render export.expected: the JSON
+   document byte for byte (first line), the Prometheus exposition as the
+   same set of lines (the rest). *)
+let golden_sections () =
+  let run = Trace.create () in
+  Trace.add_count run "joins" 3;
+  Trace.add_count run "probe_packets" 42;
+  ignore (Trace.counter_ref run "idle_cells");
+  Trace.observe ~trace_id:7 run "join_ms" 3.0;
+  Trace.observe ~trace_id:9 run "join_ms" 4.0;
+  Trace.observe ~trace_id:11 run "join_ms" 1000.0;
+  Trace.observe run "join_ms" 2000.0;
+  List.iter (Trace.observe run "path.hops") [ 2.0; 4.0; 4.0; 7.5 ];
+  let idle = Trace.create () in
+  Trace.incr idle "x";
+  Trace.observe idle "lat" 1.0;
+  Trace.reset idle;
+  let m = Metrics.create ~max_series_per_name:2 () in
+  Metrics.add_count m "rpc_outcomes" ~labels:[ ("outcome", "ok") ] 12;
+  Metrics.incr m "rpc_outcomes" ~labels:[ ("outcome", "timeout") ];
+  Metrics.incr m "rpc_outcomes" ~labels:[ ("outcome", "gave_up") ];
+  Metrics.incr m "rpc_outcomes" ~labels:[ ("outcome", "unserved") ];
+  Metrics.add_count m "wire_bytes" ~labels:[ ("path", "C:\\temp\\\"q\""); ("note", "a\nb") ] 7;
+  Metrics.add_count m "wire_bytes_total" ~labels:[ ("kind", "query"); ("dir", "send") ] 100;
+  Metrics.add_count m "admission_submitted_total" 4;
+  List.iter (Metrics.observe m "join_ms" ~labels:[ ("replica", "0") ]) [ 1.0; 2.0; 3.0 ];
+  Metrics.observe m "join_ms" ~labels:[ ("replica", "1") ] 5.5;
+  Metrics.set m "shard_members" ~labels:[ ("shard", "1") ] 7.0;
+  Metrics.set m "members" 10.5;
+  ([ ("run", run); ("idle", idle) ], m)
+
+let test_export_golden () =
+  let expected = In_channel.with_open_bin "export.expected" In_channel.input_all in
+  let json, prom =
+    match String.index_opt expected '\n' with
+    | Some i ->
+        (String.sub expected 0 (i + 1), String.sub expected (i + 1) (String.length expected - i - 1))
+    | None -> Alcotest.fail "export.expected has no JSON line"
+  in
+  let sections, fleet = golden_sections () in
+  Alcotest.(check string) "metrics_json byte-identical" json
+    (Export.metrics_json ~labeled:[ ("fleet", fleet) ] sections);
+  let lines text = List.sort compare (String.split_on_char '\n' text) in
+  Alcotest.(check (list string)) "prometheus line set" (lines prom)
+    (lines (Export.prometheus (sections @ [ ("fleet", fleet) ])))
 
 (* Every BENCH_*.json emitter stamps through Export.bench_json, so all
    five artifacts carry exactly the same meta key set no matter which
@@ -338,6 +418,139 @@ let test_fleet_merged_trace_acceptance () =
     totals.Nearby.Admission.admitted;
   Alcotest.(check int) "healthy fleet sheds nothing" 0 totals.Nearby.Admission.shed_total
 
+(* One Prometheus exposition sample line: a metric name, optional
+   {k="v",...} labels with backslash escapes, one space, a non-blank
+   value running to the end of the line. *)
+let exposition_line_ok line =
+  let n = String.length line in
+  let name_char first c =
+    match c with
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' -> true
+    | '0' .. '9' -> not first
+    | _ -> false
+  in
+  let name i =
+    if i < n && name_char true line.[i] then begin
+      let j = ref (i + 1) in
+      while !j < n && name_char false line.[!j] do
+        incr j
+      done;
+      Some !j
+    end
+    else None
+  in
+  let rec value i =
+    if i >= n then None
+    else match line.[i] with
+      | '\\' -> if i + 1 < n then value (i + 2) else None
+      | '"' -> Some (i + 1)
+      | _ -> value (i + 1)
+  in
+  let rec labels i =
+    match name i with
+    | Some j when j + 1 < n && line.[j] = '=' && line.[j + 1] = '"' -> (
+        match value (j + 2) with
+        | Some k when k < n && line.[k] = ',' -> labels (k + 1)
+        | Some k when k < n && line.[k] = '}' -> Some (k + 1)
+        | _ -> None)
+    | _ -> None
+  in
+  let sample_value i =
+    i < n && line.[i] = ' '
+    && i + 1 < n
+    && not (String.exists (fun c -> c = ' ' || c = '\t') (String.sub line (i + 1) (n - i - 1)))
+  in
+  match name 0 with
+  | Some i when i < n && line.[i] = '{' -> (
+      match labels (i + 1) with Some j -> sample_value j | None -> false)
+  | Some i -> sample_value i
+  | None -> false
+
+(* The `top --once --quick --seed 1` run, checked end to end: per-replica
+   labeled tails next to the merged fleet section, the runtime profile,
+   the labeled exposition, and every dashboard panel. *)
+let test_fleet_top_quick () =
+  let t = Eval.Fleet_obs.start Eval.Fleet_obs.quick_config in
+  Eval.Fleet_obs.advance t ~until:(Eval.Fleet_obs.horizon t);
+  let frame = Eval.Fleet_obs.render t in
+  let doc = Json.parse_exn (Eval.Fleet_obs.metrics_json t) in
+  let get path = match Json.path path doc with Some v -> v | None -> Alcotest.failf "no %s" (String.concat "." path) in
+  let num path j = match Option.bind (Json.path path j) Json.as_float with Some v -> v | None -> Alcotest.failf "no number %s" (String.concat "." path) in
+  (* Per-replica labeled streams next to the merged fleet section. *)
+  let rep_p99 =
+    Option.get (Json.as_list (get [ "labeled"; "replicas"; "series" ]))
+    |> List.filter_map (fun s ->
+           if Json.member "name" s = Some (Json.String "join_ms")
+              && Json.member "kind" s = Some (Json.String "stream")
+           then
+             Some
+               ( Option.get (Option.bind (Json.path [ "labels"; "replica" ] s) Json.as_string),
+                 num [ "stats"; "p99" ] s )
+           else None)
+  in
+  Alcotest.(check (list string)) "replica p99s" [ "0"; "1"; "2" ]
+    (List.sort compare (List.map fst rep_p99));
+  let merged_p99 = num [ "sections"; "fleet"; "stats"; "join_ms"; "p99" ] doc in
+  Alcotest.(check (float 0.0)) "merged count = cluster registrations"
+    (num [ "sections"; "fleet"; "counters"; "cluster_register" ] doc)
+    (num [ "sections"; "fleet"; "stats"; "join_ms"; "count" ] doc);
+  (* The merged sketch p99 lands inside the per-replica envelope,
+     stretched by twice the relative-error bound (both sides are sketch
+     reads at alpha = 1%). *)
+  let p99s = List.map snd rep_p99 in
+  let lo = List.fold_left Float.min infinity p99s and hi = List.fold_left Float.max neg_infinity p99s in
+  Alcotest.(check bool)
+    (Printf.sprintf "merged p99 %g in [%g, %g]" merged_p99 lo hi)
+    true
+    ((lo *. 0.98) -. 1e-9 <= merged_p99 && merged_p99 <= (hi *. 1.02) +. 1e-9);
+  (* Runtime profile: phased GC deltas plus the domain-pool snapshot. *)
+  let phases = Json.keys (get [ "runtime"; "phases" ]) in
+  List.iter (fun p -> Alcotest.(check bool) ("phase " ^ p) true (List.mem p phases)) [ "build"; "run" ];
+  Alcotest.(check bool) "domain_pool snapshot" true (Json.path [ "runtime"; "domain_pool" ] doc <> None);
+  (* Labeled exposition: specific series present, every sample line
+     well-formed. *)
+  let prom = Eval.Fleet_obs.prometheus t in
+  List.iter (check_has "exposition" prom)
+    [
+      "nearby_replicas_join_ms{replica=\"0\",quantile=\"0.99\"}";
+      "nearby_fleet_rpc_outcomes_total{outcome=\"ok\"}";
+      "nearby_fleet_registry_shard_members{";
+    ];
+  String.split_on_char '\n' prom
+  |> List.iter (fun l ->
+         if l <> "" && l.[0] <> '#' && not (exposition_line_ok l) then
+           Alcotest.failf "malformed exposition line %S" l);
+  (* The dashboard frame renders every panel, escape-free. *)
+  List.iter (check_has "frame" frame)
+    [
+      "nearby fleet top"; "[ops/s"; "[join latency"; "[slo]"; "[rpc]"; "[wire]"; "[health]";
+      "[admission"; "[runtime]"; "[shards]";
+    ];
+  Alcotest.(check bool) "no escape sequences" false (String.contains frame '\027');
+  (* State health: digest polls ran, the healthy fleet never diverges at
+     rest, report staleness is tracked. *)
+  check_has "health" frame "digest checks=";
+  check_has "health" frame "divergent_now=0";
+  Alcotest.(check bool) "never flagged divergent" false (contains frame "[DIVERGED]");
+  check_has "health" frame "staleness: report age";
+  (* Wire: live traffic, and every report fanned out verbatim to the other
+     two replicas. *)
+  Alcotest.(check bool) "wire panel saw traffic" false (contains frame "total=0B");
+  let amplification =
+    let key = "amplification=" in
+    let rec find i =
+      if i + String.length key > String.length frame then Alcotest.fail "no amplification"
+      else if String.sub frame i (String.length key) = key then i + String.length key
+      else find (i + 1)
+    in
+    let start = find 0 in
+    let stop = String.index_from frame start 'x' in
+    float_of_string (String.sub frame start (stop - start))
+  in
+  Alcotest.(check (float 0.01)) "replication amplification" 3.0 amplification;
+  (* The generously-provisioned front door admits every join. *)
+  check_has "admission" frame "shed: none"
+
 let suite =
   ( "metrics",
     [
@@ -352,7 +565,11 @@ let suite =
       Alcotest.test_case "one answer per stream" `Quick test_one_answer_per_stream;
       Alcotest.test_case "exposition escaping round-trips" `Quick
         test_prometheus_labeled_escaping;
+      Alcotest.test_case "handle writes allocate nothing" `Quick
+        test_handle_writes_allocate_nothing;
+      Alcotest.test_case "export golden" `Quick test_export_golden;
       Alcotest.test_case "bench_json meta keys identical" `Quick test_bench_json_meta_keys;
       Alcotest.test_case "fleet merged-trace acceptance" `Slow
         test_fleet_merged_trace_acceptance;
+      Alcotest.test_case "fleet top quick run" `Slow test_fleet_top_quick;
     ] )

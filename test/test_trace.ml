@@ -336,6 +336,37 @@ let test_instrumented_registry () =
     "candidates recorded" 1.0
     (summary Nearby.Instrumented_registry.query_candidates).Trace.p50
 
+(* One sink: a wrapped backend writes each sample once, so its store ends
+   up with exactly one insert stream and one query stream, and no other
+   series under either name. *)
+let test_instrumented_writes_once () =
+  let metrics = Metrics.create () in
+  let backend =
+    Nearby.Instrumented_registry.wrap ~metrics (Eval.Backends.backend (Eval.Backends.Sharded { shards = 4 }))
+  in
+  let lmk = 99 in
+  let reg = Nearby.Registry_intf.create backend ~landmark:lmk in
+  let n = 12 and m = 7 in
+  for peer = 0 to n - 1 do
+    Nearby.Registry_intf.insert reg ~peer ~routers:[| 100 + peer; 50 + (peer mod 3); lmk |]
+  done;
+  for peer = 0 to m - 1 do
+    ignore (Nearby.Registry_intf.query_member reg ~peer ~k:3)
+  done;
+  let streams name =
+    List.filter (fun (r : Metrics.reading) -> r.name = name && r.stream <> None) (Metrics.readings metrics)
+  in
+  let check name count =
+    match streams name with
+    | [ { labels = []; stream = Some (s, _, _); _ } ] ->
+        Alcotest.(check int) (name ^ " samples") count s.count
+    | found -> Alcotest.failf "%s: %d series, want one unlabeled" name (List.length found)
+  in
+  check Nearby.Instrumented_registry.insert_ns n;
+  check Nearby.Instrumented_registry.query_ns m;
+  Alcotest.(check int) "one label set per name" 1
+    (Metrics.series_count metrics Nearby.Instrumented_registry.insert_ns)
+
 let test_wrap_disabled_is_identity () =
   let backend = (module Nearby.Path_tree : Nearby.Registry_intf.S) in
   let wrapped = Nearby.Instrumented_registry.wrap backend in
@@ -364,5 +395,7 @@ let suite =
       Alcotest.test_case "prometheus empty stream" `Quick test_prometheus_empty_stream_nan;
       Alcotest.test_case "metrics json timeseries key" `Quick test_metrics_json_timeseries_key;
       Alcotest.test_case "instrumented registry timing" `Quick test_instrumented_registry;
+      Alcotest.test_case "instrumented registry writes once" `Quick
+        test_instrumented_writes_once;
       Alcotest.test_case "wrap disabled = identity" `Quick test_wrap_disabled_is_identity;
     ] )
