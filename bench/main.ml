@@ -240,6 +240,8 @@ let wall_ops f =
   let dt = Unix.gettimeofday () -. t0 in
   float_of_int ops /. Float.max dt 1e-9
 
+let sweep_sizes = [ 10_000; 100_000; 1_000_000 ]
+
 type sweep_row = {
   sw_n : int;
   sw_backend : string;
@@ -258,7 +260,7 @@ type sweep_row = {
    until the clock has something to measure. *)
 let run_sweep ~sweep_max =
   banner "registry scaling sweep (batch insert/query, tree vs sharded)";
-  let sizes = List.filter (fun n -> n <= sweep_max) [ 10_000; 100_000; 1_000_000 ] in
+  let sizes = List.filter (fun n -> n <= sweep_max) sweep_sizes in
   if sizes = [] then invalid_arg "bench registry: --sweep-max below the smallest sweep point";
   let k = 5 in
   let chunk = 8192 in
@@ -353,6 +355,108 @@ let sweep_row_json r =
         ("answers_identical", Bool r.sw_identical);
       ])
 
+(* Batch writes against single writes on the tree: onto a fresh bulk-loaded
+   population of n, [batch_added] more peers are written in batches of 2,
+   50 and 500 and, as the reference, one [insert] at a time.  Each batch
+   size reads as its per-entry time over the single insert's, so machine
+   speed cancels; the single insert's time at 100k over 10k pins the
+   O(log n) insertion claim.  Variants interleave within a repetition,
+   best of [batch_reps] each. *)
+let batch_added = 2_000
+let batch_reps = 3
+let batch_sizes = [ 2; 50; 500 ]
+
+type batch_point = { bp_n : int; bp_insert_ns : float; bp_batch_ns : (int * float) list }
+
+let run_batch_writes ~sizes =
+  banner "registry batch writes (tree: insert_many vs looped insert, ns per entry)";
+  let fx = make_fixture ~routers:2000 ~population:0 ~seed:7 in
+  let landmark = Nearby.Path_tree.landmark fx.tree in
+  let entry peer = (peer, fx.routes.(peer mod Array.length fx.routes)) in
+  let preload n =
+    let tree = Nearby.Path_tree.create ~landmark in
+    let peer = ref 0 in
+    while !peer < n do
+      let m = min 8192 (n - !peer) in
+      let base = !peer in
+      Nearby.Path_tree.insert_many tree (Array.init m (fun i -> entry (base + i)));
+      peer := base + m
+    done;
+    tree
+  in
+  (* Per-entry ns of writing peers n .. n + batch_added - 1 into a fresh
+     preload; batch 1 is the looped [insert]. *)
+  let write_ns n batch =
+    let tree = preload n in
+    let batches =
+      List.init ((batch_added + batch - 1) / batch) (fun b ->
+          let base = n + (b * batch) in
+          Array.init (min batch (n + batch_added - base)) (fun i -> entry (base + i)))
+    in
+    (* Settle the preload's collection debt outside the timed region. *)
+    Gc.full_major ();
+    let t0 = Prelude.Clock.now_ns () in
+    List.iter
+      (fun entries ->
+        if batch = 1 then
+          Array.iter (fun (peer, routers) -> Nearby.Path_tree.insert tree ~peer ~routers) entries
+        else Nearby.Path_tree.insert_many tree entries)
+      batches;
+    (Prelude.Clock.now_ns () -. t0) /. float_of_int batch_added
+  in
+  let points =
+    List.map
+      (fun n ->
+        let variants = 1 :: batch_sizes in
+        let best = Array.make (List.length variants) infinity in
+        for _ = 1 to batch_reps do
+          List.iteri (fun i batch -> best.(i) <- Float.min best.(i) (write_ns n batch)) variants
+        done;
+        {
+          bp_n = n;
+          bp_insert_ns = best.(0);
+          bp_batch_ns = List.mapi (fun i b -> (b, best.(i + 1))) batch_sizes;
+        })
+      sizes
+  in
+  Prelude.Table.print
+    ~header:("n" :: "insert ns" :: List.map (Printf.sprintf "batch %d / insert") batch_sizes)
+    (List.map
+       (fun p ->
+         string_of_int p.bp_n
+         :: Prelude.Table.float_cell ~decimals:0 p.bp_insert_ns
+         :: List.map
+              (fun (_, ns) -> Prelude.Table.float_cell ~decimals:2 (ns /. p.bp_insert_ns))
+              p.bp_batch_ns)
+       points);
+  points
+
+let batch_json points =
+  let insert_ns n =
+    List.find_map (fun p -> if p.bp_n = n then Some p.bp_insert_ns else None) points
+  in
+  let growth =
+    match (insert_ns 10_000, insert_ns 100_000) with
+    | Some small, Some large -> [ ("insert_growth", Simkit.Json.Number (large /. small)) ]
+    | _ -> []
+  in
+  let row p (batch, ns) =
+    Simkit.Json.(
+      Obj
+        [
+          ("n", Int p.bp_n);
+          ("batch", Int batch);
+          ("ns_per_entry", Number ns);
+          ("insert_ns", Number p.bp_insert_ns);
+          ("insert_many_rel_insert", Number (ns /. p.bp_insert_ns));
+        ])
+  in
+  Simkit.Json.(
+    Obj
+      ((("added", Int batch_added)
+       :: ("rows", List (List.concat_map (fun p -> List.map (row p) p.bp_batch_ns) points))
+       :: growth)))
+
 let run_registry ~full ~sweep_max =
   banner "registry backends: insert/query throughput (unified interface)";
   let population = if full then 20_000 else 10_000 in
@@ -415,6 +519,9 @@ let run_registry ~full ~sweep_max =
          ])
        rows);
   let sweep_rows = run_sweep ~sweep_max in
+  let batch_points =
+    run_batch_writes ~sizes:(List.filter (fun n -> n <= sweep_max) [ 10_000; 100_000 ])
+  in
   let row_json (name, insert_ops, query_ops, identical) =
     Simkit.Json.(
       Obj
@@ -434,9 +541,21 @@ let run_registry ~full ~sweep_max =
         ("k", Int k);
         ("backends", List (List.map row_json rows));
         ("sweep", List (List.map sweep_row_json sweep_rows));
+        ("batch", batch_json batch_points);
       ];
   Printf.printf "wrote BENCH_registry.json (%d-peer workload, sweep to %d)\n%!" population
-    (List.fold_left (fun acc r -> Int.max acc r.sw_n) 0 sweep_rows)
+    (List.fold_left (fun acc r -> Int.max acc r.sw_n) 0 sweep_rows);
+  let written =
+    Simkit.Json.parse_exn (In_channel.with_open_bin "BENCH_registry.json" In_channel.input_all)
+  in
+  let sizes = List.filter (fun n -> n <= sweep_max) sweep_sizes in
+  match Eval.Bench_gates.sweep_sanity ~sizes written with
+  | [] ->
+      Printf.printf "sweep OK: %d rows at n=[%s], all byte-identical to the tree backend\n%!"
+        (List.length sweep_rows) (String.concat ", " (List.map string_of_int sizes))
+  | problems ->
+      List.iter (Printf.eprintf "sweep sanity: %s\n") problems;
+      exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Observability: per-backend latency quantiles through the instrumented

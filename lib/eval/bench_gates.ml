@@ -41,6 +41,27 @@ let sweep =
             /. num [ "query_ops_per_s" ] (point (n ^ "/tree") doc))
         :: structural)
 
+(* Batch writes on the tree: per batch size and population, per-entry
+   time over the single insert's of the same run, and the single insert's
+   time at 100k over 10k (the O(log n) insertion claim).  Both are ratios
+   of timings from one run, so machine speed cancels.  Like the other
+   sections, rows expand only where the document has them. *)
+let batch =
+  concat
+    [
+      each [ "batch"; "rows" ] ~key:(fields [ "n"; "batch" ]) (fun el this ->
+          [
+            row Lower_better ~tolerance:0.5
+              (Printf.sprintf "registry/batch/%s/insert_many_rel_insert"
+                 (fields [ "n"; "batch" ] el))
+              (fun doc -> num [ "insert_many_rel_insert" ] (this doc));
+          ]);
+      (fun doc ->
+        let growth = [ "batch"; "insert_growth" ] in
+        if Simkit.Json.path growth doc = None then []
+        else [ row Lower_better ~tolerance:0.5 "registry/batch/insert_growth" (num growth) ]);
+    ]
+
 (* BENCH_registry.json: throughput relative to the tree backend of the
    same run, plus the answers-identical invariant. *)
 let registry =
@@ -65,7 +86,39 @@ let registry =
               identical;
             ]);
       sweep;
+      batch;
     ]
+
+(* The sweep's own sanity rules, judged on the document [bench registry]
+   writes: exactly the sizes it ran, and per row members = n, 100..2000
+   bytes per member, answers identical to the tree's and both throughputs
+   positive. *)
+let sweep_sanity ~sizes doc =
+  let rows = elements [ "sweep" ] doc in
+  let ns = List.sort_uniq compare (List.map (fun r -> int_of_float (num [ "n" ] r)) rows) in
+  let expected = List.sort_uniq compare sizes in
+  let show ns = String.concat ", " (List.map string_of_int ns) in
+  let per_row r =
+    let who = fields [ "backend" ] r ^ "@" ^ fields [ "n" ] r in
+    try
+      let members = num [ "members" ] r in
+      let bytes_per_member = num [ "approx_bytes" ] r /. members in
+      List.filter_map
+        (fun (ok, problem) -> if ok then None else Some (who ^ ": " ^ problem))
+        [
+          (members = num [ "n" ] r, Printf.sprintf "members %.0f != n" members);
+          ( bytes_per_member >= 100.0 && bytes_per_member <= 2000.0,
+            Printf.sprintf "%.0f B/member out of bounds" bytes_per_member );
+          (flag [ "answers_identical" ] r = 1.0, "answers diverge from tree");
+          ( num [ "insert_ops_per_s" ] r > 0.0 && num [ "query_ops_per_s" ] r > 0.0,
+            "throughput not positive" );
+        ]
+    with Failure msg -> [ who ^ ": " ^ msg ]
+  in
+  (if rows = [] then [ "sweep section is empty" ] else [])
+  @ (if ns = expected then []
+     else [ Printf.sprintf "sweep sizes [%s], expected [%s]" (show ns) (show expected) ])
+  @ List.concat_map per_row rows
 
 (* BENCH_obs.json: p99 latency relative to the tree backend — tails are
    the noisiest numbers gated, hence the widest tolerance.  The exemplar

@@ -6,7 +6,16 @@ val registry : Regression.table
     tree (tolerance 0.6) and the answers-identical bit (exact); per sweep
     point up to 100k members, answers-identical and member count (exact),
     bytes/member (0.5) and non-tree query throughput relative to tree at
-    the same point (0.5). *)
+    the same point (0.5); per tree batch-write point, [insert_many]'s
+    per-entry time over looped [insert]'s (0.5), and single-insert time
+    at 100k over 10k members (0.5). *)
+
+val sweep_sanity : sizes:int list -> Simkit.Json.t -> string list
+(** The scaling sweep's sanity rules on a BENCH_registry.json document:
+    the sweep is non-empty and holds exactly [sizes]; every row has
+    members = n, 100 to 2000 bytes per member, answers identical to the
+    tree's, and positive insert and query throughput.  One message per
+    broken rule; [[]] when all hold. *)
 
 val obs : Regression.table
 (** BENCH_obs.json: per-backend insert/query p99 relative to tree (1.5 —

@@ -3,7 +3,7 @@ include Path_tree_core.Make (struct
 
   let zero = 0.0
   let add = ( +. )
-  let compare = compare
+  let compare = Float.compare
 end)
 
 let hops_of_route ~latency route =

@@ -6,7 +6,7 @@ module Core = Path_tree_core.Make (struct
 
   let zero = 0
   let add = ( + )
-  let compare = compare
+  let compare = Int.compare
 end)
 
 type peer = int

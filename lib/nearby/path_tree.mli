@@ -62,8 +62,10 @@ val query_member : t -> peer:peer -> k:int -> (peer * int) list
     @raise Not_found when unregistered. *)
 
 val insert_many : t -> (peer * Topology.Graph.node array) array -> unit
-(** Batch {!insert}, validated up front and merged one sorted pass per
-    touched router bucket (see {!Path_tree_core.Make.insert_many}). *)
+(** Batch {!insert}, validated up front: one flat sort of the batch's
+    additions by (router, cost, peer), then an in-place merge into each
+    touched chunk of each router bucket, so no entry costs more than a
+    single {!insert} (see {!Path_tree_core.Make.insert_many}). *)
 
 val query_many :
   t ->

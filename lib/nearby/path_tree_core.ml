@@ -14,11 +14,17 @@ module Make (Cost : COST) = struct
      A router bucket holds its (cost-to-router, peer) entries in a short
      array of sorted chunks: parallel [costs]/[peers] arrays, ascending by
      (cost, peer).  Compared to the AVL set this replaces, entries cost two
-     unboxed words instead of a five-word tree node, scans are cache-linear,
-     and a sorted batch of additions merges in one pass per touched chunk.
-     Insertion is a binary search to the right chunk plus a [blit]; chunks
-     split at [chunk_cap] so a single insert never moves more than
-     [chunk_cap] words. *)
+     unboxed words instead of a five-word tree node and scans are
+     cache-linear.  Insertion is a binary search to the right chunk plus a
+     [blit]; chunks split at [chunk_cap] so a single insert never moves
+     more than [chunk_cap] words.
+
+     A batch writes each touched chunk once, in place ([bucket_add_sorted]):
+     a chunk with room takes its k additions by a backward galloping merge
+     (k searches and k blits, no allocation), and only a chunk that would
+     overflow is rebuilt, into evenly filled chunks spliced where it stood.
+     Untouched chunks cost nothing, so a small batch into a large bucket
+     pays what the same entries would pay one [insert] at a time. *)
 
   let chunk_cap = 512
   let seed_cap = 8
@@ -91,46 +97,51 @@ module Make (Cost : COST) = struct
       t.nspare <- t.nspare + 1
     end
 
-  let ensure_room c =
-    let cap = Array.length c.costs in
-    if c.clen = cap then begin
-      let ncap = min chunk_cap (2 * cap) in
-      let costs = Array.make ncap Cost.zero and cpeers = Array.make ncap 0 in
-      Array.blit c.costs 0 costs 0 c.clen;
-      Array.blit c.cpeers 0 cpeers 0 c.clen;
-      c.costs <- costs;
-      c.cpeers <- cpeers
-    end
+  let resize c cap =
+    let costs = Array.make cap Cost.zero and cpeers = Array.make cap 0 in
+    Array.blit c.costs 0 costs 0 c.clen;
+    Array.blit c.cpeers 0 cpeers 0 c.clen;
+    c.costs <- costs;
+    c.cpeers <- cpeers
 
-  (* First index in [c] whose entry is >= (cost, p). *)
-  let chunk_lower c cost p =
-    let lo = ref 0 and hi = ref c.clen in
+  (* First index in [c]'s prefix [0, n) whose entry is >= (cost, p). *)
+  let chunk_lower c n cost p =
+    let lo = ref 0 and hi = ref n in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       if entry_compare c.costs.(mid) c.cpeers.(mid) cost p < 0 then lo := mid + 1 else hi := mid
     done;
     !lo
 
-  (* Index of the chunk whose range should hold (cost, p): the first chunk
-     whose last entry is >= the key, or the last chunk when the key is
-     beyond every range.  Requires [b.nchunks >= 1]. *)
-  let bucket_chunk_for b cost p =
-    let lo = ref 0 and hi = ref (b.nchunks - 1) in
+  let last_cost c = c.costs.(c.clen - 1)
+  let last_peer c = c.cpeers.(c.clen - 1)
+
+  (* Index of the chunk among [0, top] whose range should hold (cost, p):
+     the first whose last entry is >= the key, or [top] when the key is
+     beyond every range.  Requires [0 <= top < b.nchunks]. *)
+  let chunk_for b top cost p =
+    let lo = ref 0 and hi = ref top in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
       let c = b.chunks.(mid) in
-      if entry_compare c.costs.(c.clen - 1) c.cpeers.(c.clen - 1) cost p < 0 then lo := mid + 1
-      else hi := mid
+      if entry_compare (last_cost c) (last_peer c) cost p < 0 then lo := mid + 1 else hi := mid
     done;
     !lo
 
+  let bucket_chunk_for b cost p = chunk_for b (b.nchunks - 1) cost p
+
+  (* Room for [need] chunk slots; [fill] pads the new array. *)
+  let reserve_chunks b need fill =
+    let len = Array.length b.chunks in
+    if need > len then begin
+      let arr = Array.make (max need (2 * len)) fill in
+      Array.blit b.chunks 0 arr 0 b.nchunks;
+      b.chunks <- arr
+    end
+
   let bucket_insert_chunk b ci c =
     let n = b.nchunks in
-    if n = Array.length b.chunks then begin
-      let arr = Array.make (max 2 (2 * n)) c in
-      Array.blit b.chunks 0 arr 0 n;
-      b.chunks <- arr
-    end;
+    reserve_chunks b (max 2 (n + 1)) c;
     Array.blit b.chunks ci b.chunks (ci + 1) (n - ci);
     b.chunks.(ci) <- c;
     b.nchunks <- n + 1
@@ -147,7 +158,7 @@ module Make (Cost : COST) = struct
     bucket_insert_chunk b (ci + 1) upper
 
   let chunk_insert_at c pos cost p =
-    ensure_room c;
+    if c.clen = Array.length c.costs then resize c (min chunk_cap (2 * c.clen));
     let n = c.clen in
     Array.blit c.costs pos c.costs (pos + 1) (n - pos);
     Array.blit c.cpeers pos c.cpeers (pos + 1) (n - pos);
@@ -169,11 +180,10 @@ module Make (Cost : COST) = struct
        if c0.clen >= chunk_cap then begin
          split_chunk t b !ci;
          let lower = b.chunks.(!ci) in
-         if entry_compare lower.costs.(lower.clen - 1) lower.cpeers.(lower.clen - 1) cost p < 0
-         then incr ci
+         if entry_compare (last_cost lower) (last_peer lower) cost p < 0 then incr ci
        end;
        let c = b.chunks.(!ci) in
-       chunk_insert_at c (chunk_lower c cost p) cost p
+       chunk_insert_at c (chunk_lower c c.clen cost p) cost p
      end);
     b.total <- b.total + 1
 
@@ -183,7 +193,7 @@ module Make (Cost : COST) = struct
     if b.nchunks > 0 then begin
       let ci = bucket_chunk_for b cost p in
       let c = b.chunks.(ci) in
-      let pos = chunk_lower c cost p in
+      let pos = chunk_lower c c.clen cost p in
       if pos < c.clen && entry_compare c.costs.(pos) c.cpeers.(pos) cost p = 0 then begin
         Array.blit c.costs (pos + 1) c.costs pos (c.clen - pos - 1);
         Array.blit c.cpeers (pos + 1) c.cpeers pos (c.clen - pos - 1);
@@ -202,22 +212,106 @@ module Make (Cost : COST) = struct
     &&
     let ci = bucket_chunk_for b cost p in
     let c = b.chunks.(ci) in
-    let pos = chunk_lower c cost p in
+    let pos = chunk_lower c c.clen cost p in
     pos < c.clen && entry_compare c.costs.(pos) c.cpeers.(pos) cost p = 0
 
-  (* Merge a sorted run of additions ([acosts]/[apeers], ascending, length
-     [m]) into the bucket in one pass: untouched chunks are kept as-is,
-     touched chunks are rebuilt by a two-pointer merge.  This is what makes
-     [insert_many] amortize — co-attached peers share every router of their
-     path, so a batch lands as one merge per bucket instead of m sorted
-     insertions. *)
-  let bucket_add_sorted t b acosts apeers m =
-    if m = 1 then bucket_add t b acosts.(0) apeers.(0)
+  (* First index in [lo, hi) of the sorted additions whose entry is
+     > (cost, p). *)
+  let first_above acosts apeers lo hi cost p =
+    let lo = ref lo and hi = ref hi in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if entry_compare acosts.(mid) apeers.(mid) cost p <= 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
+
+  (* [f ci lo hi] for every chunk [ci] the sorted additions [a0, a1) land
+     in, right to left, with [lo, hi) the additions it receives (the same
+     chunk [bucket_chunk_for] picks for each).  Reads only chunks left of
+     the one last passed to [f], so [f] may rewrite that chunk and anything
+     to its right.  Requires [b.nchunks >= 1]. *)
+  let iter_touched b acosts apeers a0 a1 f =
+    let hi = ref a1 and top = ref (b.nchunks - 1) in
+    while !hi > a0 do
+      let ci = chunk_for b !top acosts.(!hi - 1) apeers.(!hi - 1) in
+      let lo =
+        if ci = 0 then a0
+        else
+          let prev = b.chunks.(ci - 1) in
+          first_above acosts apeers a0 !hi (last_cost prev) (last_peer prev)
+      in
+      f ci lo !hi;
+      hi := lo;
+      top := ci - 1
+    done
+
+  (* Chunks beyond the one a chunk of [total] entries would need. *)
+  let extra_chunks total = if total <= chunk_cap then 0 else (total - 1) / chunk_cap
+
+  (* Backward galloping merge of additions [lo, hi) into a chunk that can
+     hold them (at most [chunk_cap] entries in all): the largest remaining
+     addition is binary-searched in the unmoved prefix, and the segment
+     above it shifts up by one blit.  A chunk short of capacity grows to
+     the exact size: the batch knows its count, so no doubling slack. *)
+  let merge_in_place c acosts apeers lo hi =
+    if c.clen + hi - lo > Array.length c.costs then resize c (c.clen + hi - lo);
+    let top = ref c.clen in
+    for j = hi - 1 downto lo do
+      let pos = chunk_lower c !top acosts.(j) apeers.(j) in
+      let gap = j - lo + 1 in
+      Array.blit c.costs pos c.costs (pos + gap) (!top - pos);
+      Array.blit c.cpeers pos c.cpeers (pos + gap) (!top - pos);
+      c.costs.(pos + gap - 1) <- acosts.(j);
+      c.cpeers.(pos + gap - 1) <- apeers.(j);
+      top := pos
+    done;
+    c.clen <- c.clen + hi - lo
+
+  (* Merge [c] and additions [lo, hi) into the fewest full-size chunks,
+     filled evenly, stored at [b.chunks.(dst)] onwards. *)
+  let merge_overflow t b dst c acosts apeers lo hi =
+    let total = c.clen + hi - lo in
+    let nout = 1 + extra_chunks total in
+    let i = ref 0 and j = ref lo in
+    for o = 0 to nout - 1 do
+      let d = alloc_full t in
+      let len = (total * (o + 1) / nout) - (total * o / nout) in
+      for w = 0 to len - 1 do
+        if
+          !j >= hi
+          || (!i < c.clen && entry_compare c.costs.(!i) c.cpeers.(!i) acosts.(!j) apeers.(!j) <= 0)
+        then begin
+          d.costs.(w) <- c.costs.(!i);
+          d.cpeers.(w) <- c.cpeers.(!i);
+          incr i
+        end
+        else begin
+          d.costs.(w) <- acosts.(!j);
+          d.cpeers.(w) <- apeers.(!j);
+          incr j
+        end
+      done;
+      d.clen <- len;
+      b.chunks.(dst + o) <- d
+    done;
+    retire_chunk t c
+
+  (* Add the sorted window [a0, a1) of [acosts]/[apeers] to the bucket,
+     writing each touched chunk once.  An empty bucket is filled by blits.
+     Otherwise a first right-to-left walk counts the chunks that overflowing
+     chunks will add, and a second merges each touched chunk: in place when
+     it has room, else into evenly filled chunks spliced at its slot.
+     Right to left, a splice only shifts chunks already merged (one blit
+     per run of untouched ones), never one still to visit, so the walk
+     reads the same chunk boundaries as the count did. *)
+  let bucket_add_sorted t b acosts apeers a0 a1 =
+    let m = a1 - a0 in
+    if m = 1 then bucket_add t b acosts.(a0) apeers.(a0)
     else if m > 1 then begin
       if b.nchunks = 0 then begin
-        let pos = ref 0 in
-        while !pos < m do
-          let take = min chunk_cap (m - !pos) in
+        let pos = ref a0 in
+        while !pos < a1 do
+          let take = min chunk_cap (a1 - !pos) in
           let c = if take = chunk_cap then alloc_full t else fresh_chunk (max seed_cap take) in
           Array.blit acosts !pos c.costs 0 take;
           Array.blit apeers !pos c.cpeers 0 take;
@@ -227,65 +321,27 @@ module Make (Cost : COST) = struct
         done
       end
       else begin
-        let out = ref [] in
-        let push c = out := c :: !out in
-        let ai = ref 0 in
-        for ci = 0 to b.nchunks - 1 do
-          let c = b.chunks.(ci) in
-          (* Additions destined for this chunk: everything below the next
-             chunk's first entry (the last chunk absorbs the rest). *)
-          let hi =
-            if ci = b.nchunks - 1 then m
-            else begin
-              let nxt = b.chunks.(ci + 1) in
-              let lo = ref !ai and hi = ref m in
-              while !lo < !hi do
-                let mid = (!lo + !hi) / 2 in
-                if entry_compare acosts.(mid) apeers.(mid) nxt.costs.(0) nxt.cpeers.(0) < 0 then
-                  lo := mid + 1
-                else hi := mid
-              done;
-              !lo
+        let extra = ref 0 in
+        iter_touched b acosts apeers a0 a1 (fun ci lo hi ->
+            extra := !extra + extra_chunks (b.chunks.(ci).clen + hi - lo));
+        let extra = !extra in
+        reserve_chunks b (b.nchunks + extra) b.chunks.(0);
+        (* [shift]: chunks still to be added at or left of the current
+           one, i.e. how far the untouched chunks right of it move. *)
+        let shift = ref extra and right = ref b.nchunks in
+        iter_touched b acosts apeers a0 a1 (fun ci lo hi ->
+            if !shift > 0 then
+              Array.blit b.chunks (ci + 1) b.chunks (ci + 1 + !shift) (!right - ci - 1);
+            let c = b.chunks.(ci) in
+            let grown = extra_chunks (c.clen + hi - lo) in
+            shift := !shift - grown;
+            if grown = 0 then begin
+              merge_in_place c acosts apeers lo hi;
+              b.chunks.(ci + !shift) <- c
             end
-          in
-          if hi = !ai then push c
-          else begin
-            let total = c.clen + (hi - !ai) in
-            let i = ref 0 and j = ref !ai in
-            let cur =
-              ref (if total >= chunk_cap then alloc_full t else fresh_chunk (max seed_cap total))
-            in
-            while !i < c.clen || !j < hi do
-              (if !cur.clen = chunk_cap then begin
-                 push !cur;
-                 cur := alloc_full t
-               end);
-              let d = !cur in
-              if
-                !j >= hi
-                || !i < c.clen
-                   && entry_compare c.costs.(!i) c.cpeers.(!i) acosts.(!j) apeers.(!j) <= 0
-              then begin
-                d.costs.(d.clen) <- c.costs.(!i);
-                d.cpeers.(d.clen) <- c.cpeers.(!i);
-                d.clen <- d.clen + 1;
-                incr i
-              end
-              else begin
-                d.costs.(d.clen) <- acosts.(!j);
-                d.cpeers.(d.clen) <- apeers.(!j);
-                d.clen <- d.clen + 1;
-                incr j
-              end
-            done;
-            push !cur;
-            ai := hi;
-            retire_chunk t c
-          end
-        done;
-        let chunks = Array.of_list (List.rev !out) in
-        b.chunks <- chunks;
-        b.nchunks <- Array.length chunks
+            else merge_overflow t b (ci + !shift) c acosts apeers lo hi;
+            right := ci);
+        b.nchunks <- b.nchunks + extra
       end;
       b.total <- b.total + m
     end
@@ -344,36 +400,43 @@ module Make (Cost : COST) = struct
           if Hashtbl.mem batch peer then invalid_arg "Path_tree.insert: peer already registered";
           Hashtbl.add batch peer ())
         entries;
-      let per_router : (int, (Cost.t * peer) list ref) Hashtbl.t = Hashtbl.create 256 in
+      (* Every (router, cost, peer) addition in three flat arrays, one
+         index sort by (router, cost, peer), then one sorted window per
+         router handed to its bucket. *)
+      let len = Array.fold_left (fun acc (_, hops) -> acc + Array.length hops) 0 entries in
+      let routers = Array.make len 0 and costs = Array.make len Cost.zero in
+      let peers = Array.make len 0 in
+      let w = ref 0 in
       Array.iter
         (fun (peer, hops) ->
           store_path t peer hops;
           Array.iter
             (fun (router, cost) ->
-              let r =
-                match Hashtbl.find_opt per_router router with
-                | Some r -> r
-                | None ->
-                    let r = ref [] in
-                    Hashtbl.add per_router router r;
-                    r
-              in
-              r := (cost, peer) :: !r)
+              routers.(!w) <- router;
+              costs.(!w) <- cost;
+              peers.(!w) <- peer;
+              incr w)
             hops)
         entries;
-      Hashtbl.iter
-        (fun router adds ->
-          let adds = Array.of_list !adds in
-          Array.sort (fun (c1, p1) (c2, p2) -> entry_compare c1 p1 c2 p2) adds;
-          let m = Array.length adds in
-          let acosts = Array.make m Cost.zero and apeers = Array.make m 0 in
-          Array.iteri
-            (fun i (c, p) ->
-              acosts.(i) <- c;
-              apeers.(i) <- p)
-            adds;
-          bucket_add_sorted t (bucket_of t router) acosts apeers m)
-        per_router
+      let order = Array.init len Fun.id in
+      Array.stable_sort
+        (fun i j ->
+          match Int.compare routers.(i) routers.(j) with
+          | 0 -> entry_compare costs.(i) peers.(i) costs.(j) peers.(j)
+          | c -> c)
+        order;
+      let acosts = Array.map (fun i -> costs.(i)) order in
+      let apeers = Array.map (fun i -> peers.(i)) order in
+      let a0 = ref 0 in
+      while !a0 < len do
+        let router = routers.(order.(!a0)) in
+        let a1 = ref (!a0 + 1) in
+        while !a1 < len && routers.(order.(!a1)) = router do
+          incr a1
+        done;
+        bucket_add_sorted t (bucket_of t router) acosts apeers !a0 !a1;
+        a0 := !a1
+      done
     end
 
   let remove t peer =

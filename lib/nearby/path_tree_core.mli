@@ -35,13 +35,16 @@ module Make (Cost : COST) : sig
       landmark, decreasing costs, or a duplicate peer. *)
 
   val insert_many : t -> (peer * (Topology.Graph.node * Cost.t) array) array -> unit
-  (** Register a whole batch, equivalent to [insert] in array order but
-      amortized: additions are grouped per router and merged into each
-      bucket in one sorted pass, so co-attached peers (who share every
-      router of their path) cost one merge per bucket instead of one
-      descent per peer.  The batch is validated up front — including
-      duplicate peers within the batch — and a failure leaves the tree
-      untouched. *)
+  (** Register a whole batch, equivalent to [insert] in array order and
+      never dearer per entry: the batch's (router, cost, peer) additions
+      go into three flat arrays, one index sort orders them by (router,
+      cost, peer), and each router's run is merged into its bucket in
+      place — a touched chunk with room takes its additions by a backward
+      galloping merge (a binary search and one blit each, no allocation),
+      only a chunk that would overflow is rebuilt into evenly filled
+      chunks, and untouched chunks are not visited.  The batch is
+      validated up front — including duplicate peers within the batch —
+      and a failure leaves the tree untouched. *)
 
   val remove : t -> peer -> unit
   (** @raise Not_found when unregistered. *)

@@ -85,10 +85,54 @@ let test_mutated_documents_fail () =
          "health/invariant/lag_per_episode");
       ]
 
+(* The registry sweep's sanity check on a small sweep document: sound as
+   built, and each rule trips on a document breaking only that rule. *)
+let test_sweep_sanity () =
+  let open Simkit.Json in
+  let sweep_row ?(members = fun n -> n) ?(bytes_per_member = 400) ?(identical = true)
+      ?(insert_ops = 1e5) ?(query_ops = 1e5) n backend =
+    Obj
+      [
+        ("n", Int n);
+        ("backend", String backend);
+        ("insert_ops_per_s", Number insert_ops);
+        ("query_ops_per_s", Number query_ops);
+        ("members", Int (members n));
+        ("approx_bytes", Int (bytes_per_member * n));
+        ("answers_identical", Bool identical);
+      ]
+  in
+  let doc ?(big = sweep_row 100_000 "sharded:4") () =
+    Obj
+      [
+        ( "sweep",
+          List
+            [
+              sweep_row 10_000 "tree"; sweep_row 10_000 "sharded:4"; sweep_row 100_000 "tree"; big;
+            ] );
+      ]
+  in
+  let sizes = [ 10_000; 100_000 ] in
+  Alcotest.(check (list string)) "sound sweep" [] (Eval.Bench_gates.sweep_sanity ~sizes (doc ()));
+  List.iter
+    (fun (rule, doc, sizes) ->
+      Alcotest.(check bool) rule true (Eval.Bench_gates.sweep_sanity ~sizes doc <> []))
+    [
+      ("empty sweep", Obj [ ("sweep", List []) ], sizes);
+      ("sizes exactly as run", doc (), [ 10_000; 100_000; 1_000_000 ]);
+      ("members = n", doc ~big:(sweep_row ~members:(fun n -> n - 1) 100_000 "sharded:4") (), sizes);
+      ("B/member >= 100", doc ~big:(sweep_row ~bytes_per_member:99 100_000 "sharded:4") (), sizes);
+      ("B/member <= 2000", doc ~big:(sweep_row ~bytes_per_member:2001 100_000 "sharded:4") (), sizes);
+      ("answers identical", doc ~big:(sweep_row ~identical:false 100_000 "sharded:4") (), sizes);
+      ("insert ops > 0", doc ~big:(sweep_row ~insert_ops:0.0 100_000 "sharded:4") (), sizes);
+      ("query ops > 0", doc ~big:(sweep_row ~query_ops:0.0 100_000 "sharded:4") (), sizes);
+    ]
+
 let suite =
   ( "gate-table",
     [
       Alcotest.test_case "matches the committed golden table" `Quick test_matches_golden;
       Alcotest.test_case "invariants hold on the baselines" `Quick test_invariants_hold_on_baselines;
       Alcotest.test_case "a mutated document fails each table" `Quick test_mutated_documents_fail;
+      Alcotest.test_case "registry sweep sanity" `Quick test_sweep_sanity;
     ] )

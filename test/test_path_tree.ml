@@ -205,6 +205,55 @@ let qcheck_insert_remove_roundtrip =
       List.sort compare (Path_tree.query_member t ~peer:0 ~k:10) = before
       && not (Path_tree.mem t 99))
 
+(* --- Batch writes cost what single writes cost --- *)
+
+(* Words allocated in both heaps: arrays over 256 words skip the minor
+   heap, so [Gc.minor_words] alone would not see a batch's flat arrays. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Over one preloaded sink tree (4000 routers, 4000 members), writing 1000
+   more peers with [insert_many] at batch 2 and batch 50 allocates at most
+   twice the words per entry of looped [insert].  Allocation is a count,
+   not a timing, so the bound holds on any machine. *)
+let test_batch_allocation () =
+  let rng = Prelude.Prng.create 4000 in
+  let n_routers = 4000 in
+  let parent = Array.init n_routers (fun r -> if r = 0 then -1 else Prelude.Prng.int rng r) in
+  let path_from r =
+    let rec climb r acc = if r = 0 then List.rev (0 :: acc) else climb parent.(r) (r :: acc) in
+    Array.of_list (climb r [])
+  in
+  let entries = Array.init 5000 (fun peer -> (peer, path_from (Prelude.Prng.int rng n_routers))) in
+  let preload = 4000 in
+  let added = Array.length entries - preload in
+  let words_per_entry batch =
+    let t = Path_tree.create ~landmark:0 in
+    Array.iter
+      (fun (peer, routers) -> Path_tree.insert t ~peer ~routers)
+      (Array.sub entries 0 preload);
+    let batches =
+      List.init (added / batch) (fun b -> Array.sub entries (preload + (b * batch)) batch)
+    in
+    let w0 = allocated_words () in
+    List.iter
+      (fun b ->
+        if batch = 1 then Array.iter (fun (peer, routers) -> Path_tree.insert t ~peer ~routers) b
+        else Path_tree.insert_many t b)
+      batches;
+    let words = (allocated_words () -. w0) /. float_of_int added in
+    Path_tree.check_invariants t;
+    words
+  in
+  let single = words_per_entry 1 in
+  List.iter
+    (fun batch ->
+      let words = words_per_entry batch in
+      if words > 2.0 *. single then
+        Alcotest.failf "batch %d: %.0f words per entry, looped insert %.0f" batch words single)
+    [ 2; 50 ]
+
 (* --- Naive registry: same answers, different asymptotics --- *)
 
 let test_naive_matches_on_fixture () =
@@ -268,6 +317,7 @@ let suite =
       Alcotest.test_case "iter members" `Quick test_iter_members;
       q qcheck_query_matches_bruteforce;
       q qcheck_insert_remove_roundtrip;
+      Alcotest.test_case "batch allocation <= 2x single" `Quick test_batch_allocation;
       Alcotest.test_case "naive registry fixture" `Quick test_naive_matches_on_fixture;
       q qcheck_naive_equivalence;
     ] )

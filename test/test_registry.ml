@@ -162,6 +162,115 @@ let qcheck_batch_agreement =
         named;
       true)
 
+(* --- Batches into populated multi-chunk buckets --------------------------- *)
+
+(* One store behind the operations the batch property compares; answers
+   carry float costs so hop and latency trees share the check. *)
+type store = {
+  insert : peer:int -> int array -> unit;
+  insert_many : (int * int array) array -> unit;
+  check_invariants : unit -> unit;
+  member_count : unit -> int;
+  digest : unit -> int64;
+  query : int array -> k:int -> (int * float) list;
+  query_member : int -> k:int -> (int * float) list;
+}
+
+let registry_store backend sc =
+  let r = Registry_intf.create backend ~landmark:sc.landmark in
+  let floats = List.map (fun (p, d) -> (p, float_of_int d)) in
+  {
+    insert = (fun ~peer routers -> Registry_intf.insert r ~peer ~routers);
+    insert_many = Registry_intf.insert_many r;
+    check_invariants = (fun () -> Registry_intf.check_invariants r);
+    member_count = (fun () -> Registry_intf.member_count r);
+    digest = (fun () -> Registry_intf.digest r);
+    query = (fun routers ~k -> floats (Registry_intf.query r ~routers ~k ()));
+    query_member = (fun peer ~k -> floats (Registry_intf.query_member r ~peer ~k));
+  }
+
+(* Float costs from random link latencies: distinct, unlike hop counts. *)
+let latency_store sc =
+  let latency =
+    Topology.Latency.assign sc.graph (Topology.Latency.Uniform { lo = 1.0; hi = 5.0 }) ~seed:3
+  in
+  let hops routers = Latency_tree.hops_of_route ~latency (Array.to_list routers) in
+  let t = Latency_tree.create ~landmark:sc.landmark in
+  {
+    insert = (fun ~peer routers -> Latency_tree.insert t ~peer ~hops:(hops routers));
+    insert_many =
+      (fun entries ->
+        Latency_tree.insert_many t
+          (Array.map (fun (peer, routers) -> (peer, hops routers)) entries));
+    check_invariants = (fun () -> Latency_tree.check_invariants t);
+    member_count = (fun () -> Latency_tree.member_count t);
+    digest = (fun () -> Latency_tree.digest t);
+    query = (fun routers ~k -> Latency_tree.query t ~hops:(hops routers) ~k ());
+    query_member = (fun peer ~k -> Latency_tree.query_member t ~peer ~k);
+  }
+
+(* The path batches used to pay for: buckets already spanning several
+   chunks.  Every member passes the landmark, so 1600 preloaded peers put
+   >= 3 chunks of 512 in the landmark's bucket (4x that for sharded:4, so
+   each shard's bucket gets there too).
+   Then a stream of batches — sizes 1, 2, a few, and more than a chunk —
+   with peer ids below and above the preload's, so keys land before the
+   first entry, after the last and inside full chunks.  After each batch
+   the store must equal a twin fed the same entries one insert at a time. *)
+let qcheck_batch_into_full_buckets =
+  QCheck.Test.make ~name:"insert_many into multi-chunk buckets matches looped singletons"
+    ~count:2
+    QCheck.(make Gen.small_nat)
+    (fun seed ->
+      let sc = transit_stub_scenario ~seed in
+      List.iter
+        (fun (name, preload, make) ->
+          let batched = make sc and looped = make sc in
+          let rng = Prelude.Prng.create (seed + 41) in
+          let path () = sc.route_of (attach_router sc rng) in
+          for i = 0 to preload - 1 do
+            let peer = 100_000 + i and routers = path () in
+            batched.insert ~peer routers;
+            looped.insert ~peer routers
+          done;
+          let below = ref 100_000 and above = ref 200_000 in
+          let fresh () =
+            if Prelude.Prng.bool rng then (decr below; !below) else (incr above; !above)
+          in
+          for b = 1 to 12 do
+            let size =
+              match Prelude.Prng.int rng 4 with
+              | 0 -> 1
+              | 1 -> 2
+              | 2 -> 3 + Prelude.Prng.int rng 20
+              | _ -> 513 + Prelude.Prng.int rng 400
+            in
+            let entries = Array.init size (fun _ -> (fresh (), path ())) in
+            batched.insert_many entries;
+            Array.iter (fun (peer, routers) -> looped.insert ~peer routers) entries;
+            let what fmt = Printf.ksprintf (fun s -> Printf.sprintf "%s batch %d: %s" name b s) fmt in
+            batched.check_invariants ();
+            Alcotest.(check int) (what "members") (looped.member_count ()) (batched.member_count ());
+            Alcotest.(check int64) (what "digest") (looped.digest ()) (batched.digest ());
+            let answers = Alcotest.(list (pair int (float 0.0))) in
+            for q = 0 to 3 do
+              let routers = path () in
+              Alcotest.check answers (what "query %d" q) (looped.query routers ~k:8)
+                (batched.query routers ~k:8)
+            done;
+            Array.iter
+              (fun (peer, _) ->
+                Alcotest.check answers (what "query_member %d" peer) (looped.query_member peer ~k:8)
+                  (batched.query_member peer ~k:8))
+              (Array.sub entries 0 (min 3 size))
+          done)
+        [
+          ("tree", 1600, registry_store (module Path_tree : Registry_intf.S));
+          ("latency", 1600, latency_store);
+          ("sharded:4", 6400, registry_store (Sharded_registry.make ~shards:4 ()));
+        ];
+      true)
+
 (* Batch validation is atomic for the tree-based backends: a bad batch
    (duplicate peer inside it) must leave no partial state behind. *)
 let test_batch_rejects_duplicates_atomically () =
@@ -456,6 +565,8 @@ let suite =
         test_batch_rejects_duplicates_atomically;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_equivalence;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_batch_agreement;
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |])
+        qcheck_batch_into_full_buckets;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_churn;
       QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) qcheck_digest;
     ] )
