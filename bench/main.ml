@@ -918,13 +918,16 @@ let run_load ~full =
 (* ------------------------------------------------------------------ *)
 (* Wire: bytes on the wire by message kind — bytes/join, bytes/query,
    replication amplification, anti-entropy snapshot cost and the batching
-   saving, written to BENCH_wire.json for the CI gate. *)
+   saving — plus the engine's per-event dispatch cost, written to
+   BENCH_wire.json for the CI gate. *)
 
 let run_wire ~full =
   banner "wire: bytes per join / per query, amplification, batching saving";
   let config = if full then Eval.Wire_exp.default_config else Eval.Wire_exp.quick_config in
   let r = Eval.Wire_exp.run config in
   Eval.Wire_exp.print r;
+  let dispatch = Eval.Dispatch_exp.run () in
+  Eval.Dispatch_exp.print dispatch;
   Simkit.Export.write_bench ~path:"BENCH_wire.json" ~seed:config.Eval.Wire_exp.seed
     ~params:
       [
@@ -934,7 +937,7 @@ let run_wire ~full =
         ("batch", string_of_int config.Eval.Wire_exp.batch);
         ("loss", string_of_float config.Eval.Wire_exp.loss);
       ]
-    [ ("wire", Eval.Wire_exp.result_json r) ];
+    [ ("wire", Eval.Wire_exp.result_json r); ("dispatch", Eval.Dispatch_exp.result_json dispatch) ];
   Printf.printf "wrote BENCH_wire.json (%d joins x %d replicas)\n%!" config.Eval.Wire_exp.peers
     config.Eval.Wire_exp.replicas
 

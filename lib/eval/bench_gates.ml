@@ -172,6 +172,6 @@ let all =
     ("BENCH_obs.json", obs);
     ("BENCH_resilience.json", Resilience_exp.gate);
     ("BENCH_load.json", Load_exp.gate);
-    ("BENCH_wire.json", Wire_exp.gate);
+    ("BENCH_wire.json", Regression.concat [ Wire_exp.gate; Dispatch_exp.gate ]);
     ("BENCH_health.json", Health_exp.gate);
   ]

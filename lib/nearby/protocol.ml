@@ -35,15 +35,11 @@ let rtt t src dst = Traceroute.Probe.ping ?latency:t.latency t.oracle ~src ~dst
 (* Sequential TTL probing: hop i costs one round trip to router i, so the
    tool's completion time is the sum of prefix RTTs along the route. *)
 let traceroute_delay t ~src ~dst =
-  match Traceroute.Route_oracle.route t.oracle ~src ~dst with
-  | [] -> infinity
-  | routers ->
-      let routers = Array.of_list routers in
-      let acc = ref 0.0 in
-      for i = 1 to Array.length routers - 1 do
-        acc := !acc +. rtt t src routers.(i)
-      done;
-      !acc
+  let acc = ref 0.0 in
+  let hops =
+    Traceroute.Route_oracle.walk t.oracle ~src ~dst (fun _ v -> acc := !acc +. rtt t src v)
+  in
+  if hops = max_int then infinity else !acc
 
 let round1_delay t ~attach_router =
   (* Parallel pings: the newcomer waits for the slowest landmark reply. *)

@@ -1,7 +1,7 @@
 (** Mutable binary-heap priority queue with [float] priorities.
 
-    Used both as the simulator event queue and inside Dijkstra.  Lower
-    priority values pop first.  The heap stores arbitrary payloads and allows
+    Dijkstra's frontier ([Topology.Dijkstra]).  Lower priority values pop
+    first.  The heap stores arbitrary payloads and allows
     duplicate priorities; ties pop in unspecified order, so callers that need
     determinism must encode the tie-break into the priority or payload. *)
 

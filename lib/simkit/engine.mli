@@ -1,9 +1,14 @@
 (** Discrete-event simulation engine (the PeerSim replacement's heart).
 
     Events are closures scheduled at absolute simulated times (milliseconds,
-    [float]).  Equal-time events fire in schedule (FIFO) order, which makes
-    whole runs deterministic given deterministic event bodies.  Events may
-    schedule further events. *)
+    [float]).  Each event is keyed on [(time, seq)], where [seq] counts
+    [schedule] calls on this engine; the engine always fires the least key,
+    so equal-time events fire in schedule (FIFO) order, including events
+    scheduled at the current time from inside a body.  That makes whole runs
+    deterministic given deterministic event bodies.
+
+    A NaN time or delay is rejected; [infinity] is a legal time (an event
+    that fires only once everything finite has). *)
 
 type t
 
@@ -15,11 +20,11 @@ val now : t -> float
 
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 (** [schedule t ~delay f] runs [f] at [now t +. delay].
-    @raise Invalid_argument on a negative delay. *)
+    @raise Invalid_argument on a negative or NaN delay. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 (** Absolute-time variant; @raise Invalid_argument when [time] is in the
-    past. *)
+    past or NaN. *)
 
 val run : ?until:float -> t -> unit
 (** Drain the event queue in time order.  With [until], stops once the next

@@ -101,7 +101,11 @@ let backoff_ms t ~attempt =
 
 (* Flight-recorder taps: every notable outcome leaves one event, stamped
    with the engine clock, so a post-breach dump shows which calls were
-   timing out, failing over or dying against a downed server. *)
+   timing out, failing over or dying against a downed server.  Call sites
+   test [recording] first, so no argument list is built without a
+   recorder. *)
+let recording t = Option.is_some t.recorder
+
 let record t ~args detail =
   match t.recorder with
   | None -> ()
@@ -132,7 +136,7 @@ let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_b
   let give_up () =
     settled := true;
     count t.gave_up;
-    record t ~args:[ ("src", Span.Int src) ] "gave_up";
+    if recording t then record t ~args:[ ("src", Span.Int src) ] "gave_up";
     on_give_up ()
   in
   let rec attempt n =
@@ -157,7 +161,8 @@ let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_b
             (* No live target known right now; the backoff below doubles as
                a wait for one to come back. *)
             count t.no_target;
-            record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "no_target";
+            if recording t then
+              record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "no_target";
             close "no_target"
         | Some target ->
             Span.add_arg span "target" (Span.Int target);
@@ -173,9 +178,10 @@ let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_b
                     (* The server was down when the request arrived: it is
                        consumed without a reply, exactly like a lost one. *)
                     count t.unserved;
-                    record t
-                      ~args:[ ("src", Span.Int src); ("dst", Span.Int target) ]
-                      "unserved"
+                    if recording t then
+                      record t
+                        ~args:[ ("src", Span.Int src); ("dst", Span.Int target) ]
+                        "unserved"
                 | Some v ->
                     Transport.send_parts ~dir:"reply" t.transport ~src:target ~dst:src
                       ~parts:(reply_parts_of v) (fun () ->
@@ -187,22 +193,24 @@ let call ?parent ?request_parts ?reply_parts t ~src ~dst ~request_bytes ~reply_b
                               Metrics.observe_stream (Lazy.force s)
                                 (Engine.now engine -. started_at))
                             t.latency;
-                          record t
-                            ~args:
-                              [
-                                ("src", Span.Int src);
-                                ("dst", Span.Int target);
-                                ("attempts", Span.Int n);
-                                ("latency_ms", Span.Float (Engine.now engine -. started_at));
-                              ]
-                            "ok";
+                          if recording t then
+                            record t
+                              ~args:
+                                [
+                                  ("src", Span.Int src);
+                                  ("dst", Span.Int target);
+                                  ("attempts", Span.Int n);
+                                  ("latency_ms", Span.Float (Engine.now engine -. started_at));
+                                ]
+                              "ok";
                           close "ok";
                           on_reply v
                         end)));
         Engine.schedule engine ~delay:t.config.timeout_ms (fun () ->
             if not !settled then begin
               count t.timeouts;
-              record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "timeout";
+              if recording t then
+                record t ~args:[ ("src", Span.Int src); ("attempt", Span.Int n) ] "timeout";
               close "timeout";
               if n >= t.config.max_attempts then give_up ()
               else

@@ -107,12 +107,7 @@ let partitioned t ~src ~dst =
   | Some cut -> Hashtbl.mem cut src <> Hashtbl.mem cut dst
 
 let one_way_delay t ~src ~dst =
-  match Traceroute.Route_oracle.route t.oracle ~src ~dst with
-  | [] -> infinity
-  | routers -> (
-      match t.latency with
-      | Some table -> Topology.Latency.path_latency table routers
-      | None -> float_of_int (List.length routers - 1))
+  Traceroute.Probe.one_way_latency ?latency:t.latency t.oracle ~src ~dst
 
 let jitter t delay =
   match t.rng with
@@ -126,9 +121,9 @@ let lost t =
 let parts_total parts = List.fold_left (fun acc (_, b) -> acc + b) 0 parts
 
 let tally_of t node =
-  match Hashtbl.find_opt t.talkers node with
-  | Some tl -> tl
-  | None ->
+  match Hashtbl.find t.talkers node with
+  | tl -> tl
+  | exception Not_found ->
       let tl = { t_sent_bytes = 0; t_recv_bytes = 0; t_sent_msgs = 0; t_recv_msgs = 0 } in
       Hashtbl.replace t.talkers node tl;
       tl
@@ -182,11 +177,11 @@ let account_drop t ~reason ~total =
 (* One delivered message: whole-run counters, per-endpoint tallies, then the
    dimensional view — each [(kind, bytes)] part feeds its own labeled series,
    so one frame carrying a report and a query splits cleanly by kind while
-   counting once in [messages_sent]. *)
-let account_delivered t ~src ~dst ~dir ~parts ~total =
+   counting once in [messages_sent].  [hops] is the route's link count
+   ([max_int] when unreachable). *)
+let account_delivered t ~src ~dst ~hops ~dir ~parts ~total =
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + total;
-  let hops = Traceroute.Route_oracle.route_length t.oracle ~src ~dst in
   if hops <> max_int then t.link_bytes <- t.link_bytes + (total * hops);
   let s = tally_of t src and d = tally_of t dst in
   s.t_sent_bytes <- s.t_sent_bytes + total;
@@ -210,12 +205,17 @@ let account_delivered t ~src ~dst ~dir ~parts ~total =
 
 let send_parts ?(dir = default_dir) t ~src ~dst ~parts handler =
   let total = parts_total parts in
-  let delay = one_way_delay t ~src ~dst in
-  if delay = infinity then account_drop t ~reason:`Unreachable ~total
+  let hops = Traceroute.Route_oracle.route_length t.oracle ~src ~dst in
+  if hops = max_int then account_drop t ~reason:`Unreachable ~total
   else if partitioned t ~src ~dst then account_drop t ~reason:`Partition ~total
   else if lost t then account_drop t ~reason:`Loss ~total
   else begin
-    account_delivered t ~src ~dst ~dir ~parts ~total;
+    (* Without a latency table the hop count is the delay; with one, the
+       latency sum walks the route a second time. *)
+    let delay =
+      match t.latency with None -> float_of_int hops | Some _ -> one_way_delay t ~src ~dst
+    in
+    account_delivered t ~src ~dst ~hops ~dir ~parts ~total;
     Engine.schedule t.engine ~delay:(jitter t delay) handler
   end
 
@@ -223,7 +223,8 @@ let send ?(kind = default_kind) ?dir t ~src ~dst ~size_bytes handler =
   send_parts ?dir t ~src ~dst ~parts:[ (kind, size_bytes) ] handler
 
 let charge ?(kind = default_kind) ?(dir = default_dir) t ~src ~dst ~size_bytes =
-  account_delivered t ~src ~dst ~dir ~parts:[ (kind, size_bytes) ] ~total:size_bytes
+  let hops = Traceroute.Route_oracle.route_length t.oracle ~src ~dst in
+  account_delivered t ~src ~dst ~hops ~dir ~parts:[ (kind, size_bytes) ] ~total:size_bytes
 
 (* Loss is drawn independently per leg: the request's Bernoulli draw happens
    at call time, the reply's at request-delivery time.  Either leg dying

@@ -27,10 +27,7 @@ let assign g model ~seed =
     (Graph.edges g);
   { table }
 
-let get t u v =
-  match Hashtbl.find_opt t.table (key u v) with
-  | Some l -> l
-  | None -> raise Not_found
+let get t u v = Hashtbl.find t.table (key u v)
 
 let weight_fn t u v = get t u v
 

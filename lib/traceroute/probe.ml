@@ -5,12 +5,12 @@ let default_config = { max_ttl = 64; drop_prob = 0.0; probes_per_hop = 1 }
 type result = { path : Path.t; probes_sent : int; rtt_ms : float option }
 
 let one_way_latency ?latency oracle ~src ~dst =
-  match Route_oracle.route oracle ~src ~dst with
-  | [] -> infinity
-  | routers -> (
-      match latency with
-      | Some table -> Topology.Latency.path_latency table routers
-      | None -> float_of_int (List.length routers - 1))
+  match latency with
+  | Some table -> Route_oracle.route_latency oracle table ~src ~dst
+  | None -> (
+      match Route_oracle.route_length oracle ~src ~dst with
+      | hops when hops = max_int -> infinity
+      | hops -> float_of_int hops)
 
 let noisy rng v =
   match rng with
@@ -26,12 +26,17 @@ let run ?(config = default_config) ?latency ?rng oracle ~src ~dst =
   if config.probes_per_hop < 1 then invalid_arg "Probe.run: probes_per_hop must be >= 1";
   if config.drop_prob < 0.0 || config.drop_prob >= 1.0 then
     invalid_arg "Probe.run: drop_prob must be in [0,1)";
-  let route = Route_oracle.route oracle ~src ~dst in
-  match route with
-  | [] -> { path = { Path.src; dst; hops = [||] }; probes_sent = 0; rtt_ms = None }
-  | routers ->
-      let routers = Array.of_list routers in
-      let n_hops = Array.length routers - 1 in
+  match Route_oracle.route_length oracle ~src ~dst with
+  | n_hops when n_hops = max_int ->
+      { path = { Path.src; dst; hops = [||] }; probes_sent = 0; rtt_ms = None }
+  | n_hops ->
+      (* routers.(i) is hop i of the route, filled by the walker. *)
+      let routers = Array.make (n_hops + 1) src in
+      let filled = ref 0 in
+      ignore
+        (Route_oracle.walk oracle ~src ~dst (fun _ v ->
+             incr filled;
+             routers.(!filled) <- v));
       let recorded = min n_hops config.max_ttl in
       let probes = ref 0 in
       let hops = Array.make (recorded + 1) Path.Anonymous in
@@ -59,7 +64,7 @@ let run ?(config = default_config) ?latency ?rng oracle ~src ~dst =
         if Path.is_complete path then begin
           let one_way =
             match latency with
-            | Some table -> Topology.Latency.path_latency table (Array.to_list routers)
+            | Some table -> Route_oracle.route_latency oracle table ~src ~dst
             | None -> float_of_int n_hops
           in
           Some (noisy rng (2.0 *. one_way))

@@ -32,6 +32,16 @@ val run :
     themselves always respond ([src] knows itself; [dst] answers the final
     probe directly). *)
 
+val one_way_latency :
+  ?latency:Topology.Latency.t ->
+  Route_oracle.t ->
+  src:Topology.Graph.node ->
+  dst:Topology.Graph.node ->
+  float
+(** Latency of the forwarding route: the sum of its link latencies with a
+    table, its hop count (1 ms per link) without; [infinity] when
+    unreachable.  Builds no route list. *)
+
 val ping :
   ?latency:Topology.Latency.t ->
   ?rng:Prelude.Prng.t ->

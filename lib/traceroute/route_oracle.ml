@@ -47,9 +47,9 @@ let compute_tree t dst =
 let tree t dst =
   match t.cache with
   | Unbounded table -> (
-      match Hashtbl.find_opt table dst with
-      | Some parents -> parents
-      | None ->
+      match Hashtbl.find table dst with
+      | parents -> parents
+      | exception Not_found ->
           let parents = compute_tree t dst in
           Hashtbl.add table dst parents;
           parents)
@@ -68,22 +68,38 @@ let next_hop t ~dst v =
     match parents.(v) with -1 -> None | next -> Some next
   end
 
-let route t ~src ~dst =
-  if src = dst then [ src ]
+(* The one route walker: follows the sink tree's parent array from [src]
+   to its root [dst], so routes, hop counts and latency sums all read the
+   same links in the same src -> dst order without building a list. *)
+let walk t ~src ~dst link =
+  if src = dst then 0
   else begin
     let parents = tree t dst in
-    if parents.(src) = -1 then []
+    if parents.(src) = -1 then max_int
     else begin
-      (* Walk the sink tree from src down to its root dst. *)
-      let rec walk v acc = if v = dst then List.rev (dst :: acc) else walk parents.(v) (v :: acc) in
-      walk src []
+      let v = ref src and hops = ref 0 in
+      while !v <> dst do
+        let next = parents.(!v) in
+        link !v next;
+        v := next;
+        incr hops
+      done;
+      !hops
     end
   end
 
-let route_length t ~src ~dst =
-  match route t ~src ~dst with
-  | [] -> max_int
-  | routers -> List.length routers - 1
+let no_link _ _ = ()
+let route_length t ~src ~dst = walk t ~src ~dst no_link
+
+let route t ~src ~dst =
+  let rev = ref [ src ] in
+  if walk t ~src ~dst (fun _ v -> rev := v :: !rev) = max_int then [] else List.rev !rev
+
+let route_latency t table ~src ~dst =
+  let sum = ref 0.0 in
+  if walk t ~src ~dst (fun u v -> sum := !sum +. Topology.Latency.get table u v) = max_int then
+    infinity
+  else !sum
 
 let cached_destinations t =
   match t.cache with

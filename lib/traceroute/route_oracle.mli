@@ -40,6 +40,23 @@ val route_length : t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> in
     the length of the deterministic forwarding route, which for weighted
     routing can exceed the hop-count shortest path. *)
 
+val walk :
+  t ->
+  src:Topology.Graph.node ->
+  dst:Topology.Graph.node ->
+  (Topology.Graph.node -> Topology.Graph.node -> unit) ->
+  int
+(** [walk t ~src ~dst link] calls [link u v] for each link [u -> v] of
+    {!route}, in order from [src] to [dst], and returns the number of
+    links: [0] when [src = dst], [max_int] (with no call) when
+    unreachable.  It reads the cached sink tree and builds no list. *)
+
+val route_latency :
+  t -> Topology.Latency.t -> src:Topology.Graph.node -> dst:Topology.Graph.node -> float
+(** Sum of the link latencies along {!route}, added in [src -> dst] order
+    (bit-identical to [Topology.Latency.path_latency] of the route);
+    [infinity] when unreachable. *)
+
 val next_hop : t -> dst:Topology.Graph.node -> Topology.Graph.node -> Topology.Graph.node option
 (** [next_hop t ~dst v] is the router after [v] on [v]'s route to [dst];
     [None] at the destination itself or when unreachable. *)

@@ -81,6 +81,12 @@ let test_mutated_documents_fail () =
         (* Invariants judge the current document alone: neither field is
            read by a gated row. *)
         ("BENCH_wire.json", [ "wire"; "top_talkers" ], List [], "wire/invariant/talkers_tallied");
+        (* The dispatch rows trip at the figures of an engine that re-pushes
+           every equal-time batch (77 words, ties 76x slower). *)
+        ("BENCH_wire.json", [ "dispatch"; "words_per_event" ], Number 77.0,
+         "engine/words_per_event");
+        ("BENCH_wire.json", [ "dispatch"; "tie_ns_rel_distinct" ], Number 76.0,
+         "engine/tie_ns_rel_distinct");
         ("BENCH_health.json", [ "health"; "lag_count" ], Number 0.0,
          "health/invariant/lag_per_episode");
       ]

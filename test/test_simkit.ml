@@ -60,6 +60,32 @@ let test_engine_errors () =
   Alcotest.check_raises "past time" (Invalid_argument "Engine.schedule_at: time is in the past")
     (fun () -> Engine.schedule_at e ~time:1.0 (fun () -> ()))
 
+(* NaN passes both ordering guards ([nan < x] is false), so it is
+   rejected by name: a queued NaN event would make [step] return [true]
+   forever with the clock reading NaN, and [run] spin. *)
+let test_engine_nan_rejected () =
+  let e = Engine.create () in
+  Alcotest.check_raises "NaN delay" (Invalid_argument "Engine.schedule: delay is NaN") (fun () ->
+      Engine.schedule e ~delay:Float.nan (fun () -> ()));
+  Alcotest.check_raises "NaN time" (Invalid_argument "Engine.schedule_at: time is NaN") (fun () ->
+      Engine.schedule_at e ~time:Float.nan (fun () -> ()));
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e);
+  let log = ref [] in
+  Engine.schedule e ~delay:infinity (fun () -> log := "unreachable" :: !log);
+  Engine.schedule e ~delay:2.0 (fun () -> log := "finite" :: !log);
+  Engine.run e;
+  Alcotest.(check (list string)) "infinity fires last" [ "finite"; "unreachable" ] (List.rev !log);
+  Alcotest.(check bool) "clock at infinity" true (Engine.now e = infinity);
+  Alcotest.(check bool) "then empty" false (Engine.step e)
+
+(* The dispatch core allocates nothing beyond the caller's closure: on a
+   fixed schedule with one reused closure, what is left is the boxed delay
+   and fire time (4 words).  An engine that re-pushes equal-time batches
+   through a heap of boxed records reads ~77. *)
+let test_engine_words_per_event () =
+  let words = Eval.Dispatch_exp.words_per_event ~pending:1000 ~events:20_000 in
+  Alcotest.(check bool) (Printf.sprintf "%.2f words per event <= 8" words) true (words <= 8.0)
+
 let test_node_lifecycle () =
   let n = Node.create ~id:0 ~attach_router:7 ~now:10.0 in
   Alcotest.(check bool) "joining is live" true (Node.is_live n);
@@ -298,6 +324,121 @@ let qcheck_engine_total_order =
       let times = List.rev !fired in
       List.length times = List.length delays && times = List.sort compare delays)
 
+(* The engine against a sorted-list model: events form trees (a body
+   schedules its children, often at delay 0 so they land at the current
+   time), delays sit mostly on a coarse grid so many events tie, and a
+   schedule is driven by a script of [step]s and [run ~until] at, before and
+   past the queued times.  After every command the firing order, [now],
+   [pending] and [processed] must agree. *)
+type ev = { id : int; delay : float; children : ev list }
+type command = Step | Run of float option
+
+let engine_script_arb =
+  let open QCheck.Gen in
+  let delay =
+    frequency
+      [ (3, return 0.0); (5, map float_of_int (int_range 0 3)); (2, float_bound_inclusive 4.0) ]
+  in
+  let rec tree depth =
+    map2
+      (fun delay children -> { id = 0; delay; children })
+      delay
+      (if depth = 0 then return [] else list_size (int_bound 3) (tree (depth - 1)))
+  in
+  let next = ref 0 in
+  let rec number ev =
+    let id = !next in
+    incr next;
+    { ev with id; children = List.map number ev.children }
+  in
+  let command =
+    frequency
+      [
+        (2, return Step);
+        (1, return (Run None));
+        (3, map (fun t -> Run (Some (float_of_int t))) (int_range (-1) 12));
+        (2, map (fun t -> Run (Some t)) (float_bound_inclusive 12.0));
+      ]
+  in
+  let gen =
+    map2
+      (fun roots commands ->
+        next := 0;
+        (List.map number roots, commands))
+      (list_size (int_range 1 25) (tree 2))
+      (list_size (int_range 1 6) command)
+  in
+  let print (roots, commands) =
+    let rec ev e =
+      Printf.sprintf "%d@%g[%s]" e.id e.delay (String.concat " " (List.map ev e.children))
+    in
+    Printf.sprintf "%s / %s"
+      (String.concat " " (List.map ev roots))
+      (String.concat " "
+         (List.map
+            (function
+              | Step -> "step" | Run None -> "run" | Run (Some t) -> Printf.sprintf "run<=%g" t)
+            commands))
+  in
+  QCheck.make ~print gen
+
+(* The reference: a list of (time, seq, event) that always fires the least
+   (time, seq) by sorting. *)
+type model = {
+  mutable queue : (float * int * ev) list;
+  mutable m_now : float;
+  mutable m_seq : int;
+  mutable m_processed : int;
+  mutable m_fired : int list;
+}
+
+let model_schedule m ev =
+  m.queue <- (m.m_now +. ev.delay, m.m_seq, ev) :: m.queue;
+  m.m_seq <- m.m_seq + 1
+
+let model_step ?(limit = infinity) m =
+  match List.sort (fun (t1, s1, _) (t2, s2, _) -> compare (t1, s1) (t2, s2)) m.queue with
+  | (time, _, ev) :: rest when time <= limit ->
+      m.queue <- rest;
+      m.m_now <- time;
+      m.m_processed <- m.m_processed + 1;
+      m.m_fired <- ev.id :: m.m_fired;
+      List.iter (model_schedule m) ev.children;
+      true
+  | _ -> false
+
+let qcheck_engine_matches_model =
+  QCheck.Test.make ~name:"engine fires in the sorted (time, seq) order of a list model"
+    ~count:300 engine_script_arb (fun (roots, commands) ->
+      let e = Engine.create () and fired = ref [] in
+      let rec schedule ev =
+        Engine.schedule e ~delay:ev.delay (fun () ->
+            fired := ev.id :: !fired;
+            List.iter schedule ev.children)
+      in
+      let m = { queue = []; m_now = 0.0; m_seq = 0; m_processed = 0; m_fired = [] } in
+      List.iter schedule roots;
+      List.iter (model_schedule m) roots;
+      List.for_all
+        (fun command ->
+          let stepped_alike =
+            match command with
+            | Step -> Engine.step e = model_step m
+            | Run until ->
+                Engine.run ?until e;
+                let limit = Option.value until ~default:infinity in
+                while model_step ~limit m do
+                  ()
+                done;
+                (match until with Some t when t > m.m_now -> m.m_now <- t | _ -> ());
+                true
+          in
+          stepped_alike && !fired = m.m_fired
+          && Engine.now e = m.m_now
+          && Engine.pending e = List.length m.queue
+          && Engine.processed e = m.m_processed)
+        commands)
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
   ( "simkit",
@@ -308,6 +449,8 @@ let suite =
       Alcotest.test_case "engine until" `Quick test_engine_until;
       Alcotest.test_case "engine step" `Quick test_engine_step;
       Alcotest.test_case "engine errors" `Quick test_engine_errors;
+      Alcotest.test_case "engine rejects NaN, keeps infinity" `Quick test_engine_nan_rejected;
+      Alcotest.test_case "engine words per event <= 8" `Quick test_engine_words_per_event;
       Alcotest.test_case "node lifecycle" `Quick test_node_lifecycle;
       Alcotest.test_case "node fail" `Quick test_node_fail;
       Alcotest.test_case "transport delay" `Quick test_transport_delay;
@@ -325,4 +468,5 @@ let suite =
       Alcotest.test_case "churn population" `Quick test_churn_population_estimate;
       Alcotest.test_case "trace" `Quick test_trace;
       q qcheck_engine_total_order;
+      q qcheck_engine_matches_model;
     ] )

@@ -271,6 +271,81 @@ let qcheck_truncate_keeps_endpoints =
           Array.length known >= 1 && known.(0) = 0 && known.(Array.length known - 1) = len)
         [ Truncate.Full; Truncate.Every_k k; Truncate.Last_k k; Truncate.First_k k ])
 
+(* The list-free walker against list formulas built independently from
+   the BFS parent array, on random (often disconnected) graphs, through the
+   unbounded and an LRU-bounded tree cache, with and without a latency
+   table.  Delays are compared bit for bit. *)
+let random_graph_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 2 24 >>= fun n ->
+    list_size (int_bound (2 * n)) (pair (int_bound (n - 1)) (int_bound (n - 1))) >>= fun pairs ->
+    let edges =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun (u, v) -> if u < v then Some (u, v) else if v < u then Some (v, u) else None)
+           pairs)
+    in
+    map (fun seed -> (n, edges, seed)) (int_bound 1000)
+  in
+  QCheck.make ~print:(fun (n, edges, seed) ->
+      Printf.sprintf "n=%d seed=%d edges=%s" n seed
+        (String.concat "," (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges)))
+    gen
+
+let qcheck_walker_matches_lists =
+  QCheck.Test.make ~name:"route walker matches list-based routes, lengths and delays" ~count:150
+    random_graph_arb (fun (n, edges, seed) ->
+      let g = Topology.Graph.of_edges ~node_count:n edges in
+      let table =
+        Topology.Latency.assign g (Topology.Latency.Uniform { lo = 0.1; hi = 10.0 }) ~seed
+      in
+      let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let rec links = function a :: (b :: _ as rest) -> (a, b) :: links rest | _ -> [] in
+      List.for_all
+        (fun oracle ->
+          let transports =
+            List.map
+              (fun latency ->
+                (latency, Simkit.Transport.create ?latency (Simkit.Engine.create ()) oracle))
+              [ None; Some table ]
+          in
+          List.for_all
+            (fun (dst, parents, src) ->
+              let expected =
+                match Topology.Bfs.path_to ~parents ~src:dst src with
+                | [] -> []
+                | path -> List.rev path
+              in
+              let walked = ref [] in
+              let hops =
+                Route_oracle.walk oracle ~src ~dst (fun u v -> walked := (u, v) :: !walked)
+              in
+              let length = Route_oracle.route_length oracle ~src ~dst in
+              Route_oracle.route oracle ~src ~dst = expected
+              && List.rev !walked = links expected
+              && hops = length
+              && (if expected = [] then length = max_int
+                  else length = List.length expected - 1)
+              && (src <> dst || length = 0)
+              && List.for_all
+                   (fun (latency, transport) ->
+                     let one_way =
+                       match (expected, latency) with
+                       | [], _ -> infinity
+                       | routers, Some table -> Topology.Latency.path_latency table routers
+                       | routers, None -> float_of_int (List.length routers - 1)
+                     in
+                     same_bits (Simkit.Transport.one_way_delay transport ~src ~dst) one_way
+                     && same_bits (Probe.ping ?latency oracle ~src ~dst) (2.0 *. one_way))
+                   transports)
+            (List.concat_map
+               (fun dst ->
+                 let parents = Topology.Bfs.parents g dst in
+                 List.init n (fun src -> (dst, parents, src)))
+               (List.init n Fun.id)))
+        [ Route_oracle.create g; Route_oracle.create ~max_cached_trees:3 g ])
+
 let suite =
   let q t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x5eed |]) t in
   ( "traceroute",
@@ -300,4 +375,5 @@ let suite =
       Alcotest.test_case "probe cost" `Quick test_probe_cost;
       Alcotest.test_case "describe" `Quick test_describe;
       q qcheck_truncate_keeps_endpoints;
+      q qcheck_walker_matches_lists;
     ] )
