@@ -1,4 +1,11 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state s0..s3, as four little-endian int64 words of one
+   [Bytes.t]: record fields of type [int64] hold boxed values, so every
+   draw would allocate its four new state words, while the [Bytes]
+   accessors load and store them unboxed. *)
+type t = Bytes.t
+
+let[@inline] word g i = Bytes.get_int64_le g (8 * i)
+let[@inline] set_word g i v = Bytes.set_int64_le g (8 * i) v
 
 (* splitmix64 is used only to expand the user seed into the 256-bit xoshiro
    state, as recommended by Vigna: it guarantees the state is never all
@@ -11,37 +18,34 @@ let splitmix64_next state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+let of_splitmix state =
+  let g = Bytes.create 32 in
+  for i = 0 to 3 do
+    set_word g i (splitmix64_next state)
+  done;
+  g
 
-let copy g = { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3 }
+let create seed = of_splitmix (ref (Int64.of_int seed))
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
+let[@inline] bits64 g =
   let open Int64 in
-  let result = mul (rotl (mul g.s1 5L) 7) 9L in
-  let t = shift_left g.s1 17 in
-  g.s2 <- logxor g.s2 g.s0;
-  g.s3 <- logxor g.s3 g.s1;
-  g.s1 <- logxor g.s1 g.s2;
-  g.s0 <- logxor g.s0 g.s3;
-  g.s2 <- logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+  let s0 = word g 0 and s1 = word g 1 and s2 = word g 2 and s3 = word g 3 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let t = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  set_word g 0 s0;
+  set_word g 1 s1;
+  set_word g 2 (logxor s2 t);
+  set_word g 3 (rotl s3 45);
   result
 
-let split g =
-  let state = ref (bits64 g) in
-  let s0 = splitmix64_next state in
-  let s1 = splitmix64_next state in
-  let s2 = splitmix64_next state in
-  let s3 = splitmix64_next state in
-  { s0; s1; s2; s3 }
+let split g = of_splitmix (ref (bits64 g))
 
 (* Non-negative 62-bit integer, cheap and unbiased enough as a base for
    rejection sampling. *)
@@ -52,17 +56,17 @@ let int g bound =
   (* Rejection sampling to avoid modulo bias. *)
   let mask_range = 0x3FFF_FFFF_FFFF_FFFF in
   let limit = mask_range - (mask_range mod bound) in
-  let rec loop () =
-    let v = bits62 g in
-    if v >= limit then loop () else v mod bound
-  in
-  loop ()
+  let v = ref (bits62 g) in
+  while !v >= limit do
+    v := bits62 g
+  done;
+  !v mod bound
 
 let int_in_range g ~lo ~hi =
   if hi < lo then invalid_arg "Prng.int_in_range: hi < lo";
   lo + int g (hi - lo + 1)
 
-let unit_float g =
+let[@inline] unit_float g =
   (* 53 random bits scaled into [0,1). *)
   let v = Int64.to_int (Int64.shift_right_logical (bits64 g) 11) in
   float_of_int v *. 0x1p-53

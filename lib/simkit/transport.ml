@@ -36,7 +36,7 @@ type t = {
   talkers : (Topology.Graph.node, tally) Hashtbl.t;
   (* Series handles, resolved against the current sinks the first time a
      label set is written and dropped when a sink changes. *)
-  delivered : (string * string, wire_cells) Hashtbl.t;  (* (kind, dir) -> cells *)
+  delivered : (string, (string, wire_cells) Hashtbl.t) Hashtbl.t;  (* dir -> kind -> cells *)
   dropped : (string, wire_cells) Hashtbl.t;  (* reason -> cells *)
   kind_series : (string, Timeseries.series) Hashtbl.t;  (* kind -> "wire_bytes:<kind>" *)
 }
@@ -144,13 +144,29 @@ let wire_cells m name labels =
   let byte_count = Metrics.counter_ref m (name ^ "_bytes_total") ~labels in
   { byte_count; msg_count = Metrics.counter_ref m (name ^ "_msgs_total") ~labels }
 
-let delivered_cells m (kind, dir) = wire_cells m "wire" [ ("kind", kind); ("dir", dir) ]
+(* Looked up per direction, then per kind, so a hit builds no key. *)
+let delivered_cells m ~dir by_kind kind =
+  match Hashtbl.find by_kind kind with
+  | c -> c
+  | exception Not_found ->
+      let c = wire_cells m "wire" [ ("kind", kind); ("dir", dir) ] in
+      Hashtbl.add by_kind kind c;
+      c
+
+let kind_table () _dir = Hashtbl.create 8
+
 let dropped_cells m reason = wire_cells m "wire_dropped" [ ("reason", reason) ]
 let kind_series ts kind = Timeseries.series ts ("wire_bytes:" ^ kind)
 
 let count c bytes =
   c.byte_count := !(c.byte_count) + bytes;
   incr c.msg_count
+
+let rec count_delivered m ~dir by_kind = function
+  | [] -> ()
+  | (kind, bytes) :: parts ->
+      count (delivered_cells m ~dir by_kind kind) bytes;
+      count_delivered m ~dir by_kind parts
 
 let account_drop t ~reason ~total =
   (match reason with
@@ -190,8 +206,7 @@ let account_delivered t ~src ~dst ~hops ~dir ~parts ~total =
   d.t_recv_msgs <- d.t_recv_msgs + 1;
   (match t.metrics with
   | None -> ()
-  | Some m ->
-      List.iter (fun (kind, bytes) -> count (memo t.delivered (kind, dir) delivered_cells m) bytes) parts);
+  | Some m -> count_delivered m ~dir (memo t.delivered dir kind_table ()) parts);
   match t.timeseries with
   | None -> ()
   | Some ts ->

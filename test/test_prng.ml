@@ -16,6 +16,26 @@ let test_seed_sensitivity () =
   done;
   Alcotest.(check bool) "seeds 1 and 2 differ" true !differs
 
+(* The xoshiro256** stream is pinned: these draws were taken from the
+   generator when its state lived in boxed int64 record fields, so a change
+   of state layout cannot move a seeded experiment.  Drawing integers
+   allocates nothing. *)
+let test_stream_pinned () =
+  let g = Prng.create 42 in
+  let first = Prng.bits64 g in
+  let second = Prng.bits64 g in
+  let child = Prng.split g in
+  Alcotest.(check (list int64)) "bits64 stream"
+    [ 1546998764402558742L; 6990951692964543102L; 7456048845681939909L; -1389169964527427423L ]
+    [ first; second; Prng.bits64 child; Prng.bits64 g ];
+  Alcotest.(check int) "int" 369 (Prng.int g 1000);
+  Alcotest.(check bool) "unit_float" true (Prng.unit_float g = 0x1.8a1b4a6202f2ap-1);
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Prng.int g 1000)
+  done;
+  Alcotest.(check bool) "int draws allocate nothing" true (Gc.minor_words () -. before < 100.0)
+
 let test_copy_independent () =
   let a = Prng.create 7 in
   let b = Prng.copy a in
@@ -289,6 +309,7 @@ let suite =
     [
       Alcotest.test_case "determinism" `Quick test_determinism;
       Alcotest.test_case "seed sensitivity" `Quick test_seed_sensitivity;
+      Alcotest.test_case "stream pinned, int draws allocate nothing" `Quick test_stream_pinned;
       Alcotest.test_case "copy" `Quick test_copy_independent;
       Alcotest.test_case "split" `Quick test_split_differs;
       Alcotest.test_case "int range" `Quick test_int_range;
