@@ -7,6 +7,8 @@ type result = {
   tie_ns_rel_distinct : float;
 }
 
+let pending = 1000
+let events = 200_000
 let table_size = 4096 (* a power of two: delays are indexed by [land] *)
 
 let delay_table draw =
@@ -53,7 +55,7 @@ let ns_per_event delays ~pending ~events =
   Simkit.Engine.run engine;
   (Prelude.Clock.now_ns () -. t0) /. float_of_int events
 
-let run ?(pending = 1000) ?(events = 200_000) () =
+let run () =
   let words_per_event = words_per_event ~pending ~events in
   let distinct = distinct_delays () and ties = tie_delays () in
   (* Interleaved, best of three: both timings see the same machine state. *)

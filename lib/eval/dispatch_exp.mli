@@ -2,12 +2,12 @@
     BENCH_wire.json: what one {!Simkit.Engine} event costs the
     implementation.
 
-    A fixed schedule: [pending] events are queued, and each firing
+    A fixed schedule: 1000 events are queued, and each firing
     reschedules the one shared closure with the next delay of a fixed
-    table until [events] have fired.  Two delay tables run in the same
+    table until 200k have fired.  Two delay tables run in the same
     process: {e distinct} times (uniform in [0, 1000) ms) and a {e tie}
     schedule whose delays are whole milliseconds in 1..10, so about
-    [pending / 10] events share each timestamp.  Allocation counts do not
+    100 events share each timestamp.  Allocation counts do not
     depend on the machine; the tie timing is reported relative to the
     distinct timing of the same run. *)
 
@@ -23,11 +23,12 @@ type result = {
 }
 
 val words_per_event : pending:int -> events:int -> float
-(** Words allocated per event by a run of the distinct schedule.
+(** Words allocated per event by a run of the distinct schedule with
+    [pending] queued events and [events] firings.
     @raise Invalid_argument unless [0 < pending <= events]. *)
 
-val run : ?pending:int -> ?events:int -> unit -> result
-(** Defaults: 1000 pending, 200k events per run. *)
+val run : unit -> result
+(** The fixed schedule: 1000 pending, 200k events per run. *)
 
 val result_json : result -> Simkit.Json.t
 

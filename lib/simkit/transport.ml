@@ -144,7 +144,9 @@ let wire_cells m name labels =
   let byte_count = Metrics.counter_ref m (name ^ "_bytes_total") ~labels in
   { byte_count; msg_count = Metrics.counter_ref m (name ^ "_msgs_total") ~labels }
 
-(* Looked up per direction, then per kind, so a hit builds no key. *)
+(* Looked up per direction, then per kind, so a hit builds no key.  Not
+   [memo]: resolving needs both [m] and [dir], and passing them as one sink
+   would build a tuple or a closure on every hit. *)
 let delivered_cells m ~dir by_kind kind =
   match Hashtbl.find by_kind kind with
   | c -> c
@@ -218,21 +220,33 @@ let account_delivered t ~src ~dst ~hops ~dir ~parts ~total =
             (float_of_int bytes))
         parts
 
-let send_parts ?(dir = default_dir) t ~src ~dst ~parts handler =
-  let total = parts_total parts in
-  let hops = Traceroute.Route_oracle.route_length t.oracle ~src ~dst in
+(* [send_parts] once the route is walked: [hops] links ([max_int] when
+   unreachable), [delay] its one-way latency. *)
+let deliver t ~src ~dst ~hops ~delay ~dir ~parts ~total handler =
   if hops = max_int then account_drop t ~reason:`Unreachable ~total
   else if partitioned t ~src ~dst then account_drop t ~reason:`Partition ~total
   else if lost t then account_drop t ~reason:`Loss ~total
   else begin
-    (* Without a latency table the hop count is the delay; with one, the
-       latency sum walks the route a second time. *)
-    let delay =
-      match t.latency with None -> float_of_int hops | Some _ -> one_way_delay t ~src ~dst
-    in
     account_delivered t ~src ~dst ~hops ~dir ~parts ~total;
     Engine.schedule t.engine ~delay:(jitter t delay) handler
   end
+
+(* One walk per message: without a latency table the hop count is the
+   delay; with one, the walk also sums the link latencies in src -> dst
+   order, as [route_latency] does. *)
+let send_parts ?(dir = default_dir) t ~src ~dst ~parts handler =
+  let total = parts_total parts in
+  match t.latency with
+  | None ->
+      let hops = Traceroute.Route_oracle.route_length t.oracle ~src ~dst in
+      deliver t ~src ~dst ~hops ~delay:(float_of_int hops) ~dir ~parts ~total handler
+  | Some table ->
+      let sum = ref 0.0 in
+      let hops =
+        Traceroute.Route_oracle.walk t.oracle ~src ~dst (fun u v ->
+            sum := !sum +. Topology.Latency.get table u v)
+      in
+      deliver t ~src ~dst ~hops ~delay:!sum ~dir ~parts ~total handler
 
 let send ?(kind = default_kind) ?dir t ~src ~dst ~size_bytes handler =
   send_parts ?dir t ~src ~dst ~parts:[ (kind, size_bytes) ] handler

@@ -26,17 +26,11 @@ let run ?(config = default_config) ?latency ?rng oracle ~src ~dst =
   if config.probes_per_hop < 1 then invalid_arg "Probe.run: probes_per_hop must be >= 1";
   if config.drop_prob < 0.0 || config.drop_prob >= 1.0 then
     invalid_arg "Probe.run: drop_prob must be in [0,1)";
-  match Route_oracle.route_length oracle ~src ~dst with
-  | n_hops when n_hops = max_int ->
-      { path = { Path.src; dst; hops = [||] }; probes_sent = 0; rtt_ms = None }
-  | n_hops ->
-      (* routers.(i) is hop i of the route, filled by the walker. *)
-      let routers = Array.make (n_hops + 1) src in
-      let filled = ref 0 in
-      ignore
-        (Route_oracle.walk oracle ~src ~dst (fun _ v ->
-             incr filled;
-             routers.(!filled) <- v));
+  match Route_oracle.route oracle ~src ~dst with
+  | [] -> { path = { Path.src; dst; hops = [||] }; probes_sent = 0; rtt_ms = None }
+  | route ->
+      let routers = Array.of_list route in
+      let n_hops = Array.length routers - 1 in
       let recorded = min n_hops config.max_ttl in
       let probes = ref 0 in
       let hops = Array.make (recorded + 1) Path.Anonymous in
@@ -64,7 +58,7 @@ let run ?(config = default_config) ?latency ?rng oracle ~src ~dst =
         if Path.is_complete path then begin
           let one_way =
             match latency with
-            | Some table -> Route_oracle.route_latency oracle table ~src ~dst
+            | Some table -> Topology.Latency.path_latency table route
             | None -> float_of_int n_hops
           in
           Some (noisy rng (2.0 *. one_way))

@@ -336,8 +336,19 @@ let qcheck_walker_matches_lists =
                        | routers, Some table -> Topology.Latency.path_latency table routers
                        | routers, None -> float_of_int (List.length routers - 1)
                      in
+                     let engine = Simkit.Engine.create () in
+                     let sender = Simkit.Transport.create ?latency engine oracle in
+                     let arrived = ref nan in
+                     Simkit.Transport.send sender ~src ~dst ~size_bytes:1 (fun () ->
+                         arrived := Simkit.Engine.now engine);
+                     Simkit.Engine.run engine;
+                     let rtt = (Probe.run ?latency oracle ~src ~dst).rtt_ms in
                      same_bits (Simkit.Transport.one_way_delay transport ~src ~dst) one_way
-                     && same_bits (Probe.ping ?latency oracle ~src ~dst) (2.0 *. one_way))
+                     && same_bits (Probe.ping ?latency oracle ~src ~dst) (2.0 *. one_way)
+                     && (if expected = [] then Float.is_nan !arrived && rtt = None
+                         else
+                           same_bits !arrived one_way
+                           && Option.fold ~none:false ~some:(same_bits (2.0 *. one_way)) rtt))
                    transports)
             (List.concat_map
                (fun dst ->
