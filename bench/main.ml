@@ -5,8 +5,8 @@
      (path-tree insertion and query at growing populations - the O(log n) /
      O(1) claim - plus substrate hot paths);
    - regeneration of every evaluation artifact in DESIGN.md's experiment
-     index (fig2 and the E1..E5 tables), printed as the rows the paper
-     reports.
+     index, one section per entry of [Eval.Experiments.all], printed as
+     the rows the paper reports.
 
    `dune exec bench/main.exe` runs everything in quick mode;
    `dune exec bench/main.exe -- <experiment> [--full]` runs one experiment,
@@ -120,108 +120,6 @@ let run_micro () =
          [ name; Prelude.Table.float_cell ~decimals:1 est; Prelude.Table.float_cell ~decimals:4 r2 ])
        rows);
   print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* Experiment regeneration *)
-
-let banner title = Printf.printf "\n================ %s ================\n%!" title
-
-let run_fig2 ~full =
-  banner "fig2 (the paper's measured figure)";
-  let config = if full then Eval.Fig2.default_config else Eval.Fig2.quick_config in
-  Eval.Fig2.print (Eval.Fig2.run config)
-
-let run_complexity ~full =
-  banner "complexity table (O(log n) insert / O(1) query)";
-  let config = if full then Eval.Complexity.default_config else Eval.Complexity.quick_config in
-  Eval.Complexity.print (Eval.Complexity.run config)
-
-let run_landmarks ~full =
-  banner "E1 landmark count x placement";
-  let config =
-    if full then Eval.Landmark_sweep.default_config else Eval.Landmark_sweep.quick_config
-  in
-  Eval.Landmark_sweep.print (Eval.Landmark_sweep.run config);
-  print_newline ();
-  Eval.Landmark_sweep.print_ablation (Eval.Landmark_sweep.run_round1_ablation config)
-
-let run_superpeers ~full =
-  banner "E2 super-peers";
-  let config =
-    if full then Eval.Super_peer_exp.default_config else Eval.Super_peer_exp.quick_config
-  in
-  Eval.Super_peer_exp.print (Eval.Super_peer_exp.run config)
-
-let run_churn ~full =
-  banner "E3 churn / failures / handover";
-  let config = if full then Eval.Churn_exp.default_config else Eval.Churn_exp.quick_config in
-  Eval.Churn_exp.print (Eval.Churn_exp.run config)
-
-let run_truncate ~full =
-  banner "E4 decreased traceroute";
-  let config = if full then Eval.Truncate_exp.default_config else Eval.Truncate_exp.quick_config in
-  Eval.Truncate_exp.print (Eval.Truncate_exp.run config)
-
-let run_setup_delay ~full =
-  banner "E5 setup delay vs quality";
-  let config = if full then Eval.Setup_delay.default_config else Eval.Setup_delay.quick_config in
-  Eval.Setup_delay.print (Eval.Setup_delay.run config)
-
-let run_metric ~full =
-  banner "ablation: hop vs latency dtree";
-  let config =
-    if full then Eval.Metric_ablation.default_config else Eval.Metric_ablation.quick_config
-  in
-  Eval.Metric_ablation.print (Eval.Metric_ablation.run config)
-
-let run_streaming ~full =
-  banner "application: mesh live streaming";
-  let config =
-    if full then Eval.Streaming_exp.default_config else Eval.Streaming_exp.quick_config
-  in
-  Eval.Streaming_exp.print (Eval.Streaming_exp.run config)
-
-let run_stretch ~full =
-  banner "stretch analysis (graph-oriented dtree vs d)";
-  let config =
-    if full then Eval.Stretch_analysis.default_config else Eval.Stretch_analysis.quick_config
-  in
-  Eval.Stretch_analysis.print (Eval.Stretch_analysis.run config)
-
-let run_maintenance ~full =
-  banner "maintenance: frozen vs refreshed neighbor sets under churn";
-  let config =
-    if full then Eval.Maintenance_exp.default_config else Eval.Maintenance_exp.quick_config
-  in
-  Eval.Maintenance_exp.print (Eval.Maintenance_exp.run config)
-
-let run_topology_sensitivity ~full =
-  banner "topology sensitivity (heavy tail vs homogeneous maps)";
-  let config =
-    if full then Eval.Topology_sensitivity.default_config else Eval.Topology_sensitivity.quick_config
-  in
-  Eval.Topology_sensitivity.print (Eval.Topology_sensitivity.run config)
-
-let run_dht ~full =
-  banner "dht: decentralized directory (Chord)";
-  let config = if full then Eval.Dht_exp.default_config else Eval.Dht_exp.quick_config in
-  Eval.Dht_exp.print (Eval.Dht_exp.run config)
-
-let run_inflation ~full =
-  banner "inflation: robustness to policy routing";
-  let config = if full then Eval.Inflation_exp.default_config else Eval.Inflation_exp.quick_config in
-  Eval.Inflation_exp.print (Eval.Inflation_exp.run config)
-
-let run_bulk ~full =
-  banner "application: bulk file swarm";
-  let config = if full then Eval.Bulk_exp.default_config else Eval.Bulk_exp.quick_config in
-  Eval.Bulk_exp.print (Eval.Bulk_exp.run config)
-
-let run_joining ~full =
-  banner "joining: newcomer time-to-playback mid-stream";
-  let config = if full then Eval.Joining_exp.default_config else Eval.Joining_exp.quick_config in
-  Eval.Joining_exp.print (Eval.Joining_exp.run config)
-
 (* ------------------------------------------------------------------ *)
 (* Registry backend throughput *)
 
@@ -259,7 +157,7 @@ type sweep_row = {
    seconds long, repetition buys nothing — while the query batch repeats
    until the clock has something to measure. *)
 let run_sweep ~sweep_max =
-  banner "registry scaling sweep (batch insert/query, tree vs sharded)";
+  Eval.Experiments.banner "registry scaling sweep (batch insert/query, tree vs sharded)";
   let sizes = List.filter (fun n -> n <= sweep_max) sweep_sizes in
   if sizes = [] then invalid_arg "bench registry: --sweep-max below the smallest sweep point";
   let k = 5 in
@@ -369,7 +267,8 @@ let batch_sizes = [ 2; 50; 500 ]
 type batch_point = { bp_n : int; bp_insert_ns : float; bp_batch_ns : (int * float) list }
 
 let run_batch_writes ~sizes =
-  banner "registry batch writes (tree: insert_many vs looped insert, ns per entry)";
+  Eval.Experiments.banner
+    "registry batch writes (tree: insert_many vs looped insert, ns per entry)";
   let fx = make_fixture ~routers:2000 ~population:0 ~seed:7 in
   let landmark = Nearby.Path_tree.landmark fx.tree in
   let entry peer = (peer, fx.routes.(peer mod Array.length fx.routes)) in
@@ -458,7 +357,7 @@ let batch_json points =
        :: growth)))
 
 let run_registry ~full ~sweep_max =
-  banner "registry backends: insert/query throughput (unified interface)";
+  Eval.Experiments.banner "registry backends: insert/query throughput (unified interface)";
   let population = if full then 20_000 else 10_000 in
   let query_count = if full then 2_000 else 1_000 in
   let k = 5 in
@@ -563,7 +462,7 @@ let run_registry ~full ~sweep_max =
    BENCH_obs.json trajectory and the sim's snapshots are comparable. *)
 
 let run_obs ~full =
-  banner "observability: per-backend insert/query latency quantiles";
+  Eval.Experiments.banner "observability: per-backend insert/query latency quantiles";
   let population = if full then 20_000 else 10_000 in
   let query_count = if full then 2_000 else 1_000 in
   let k = 5 in
@@ -812,7 +711,7 @@ let run_obs ~full =
    guarantees, written to BENCH_resilience.json for the CI smoke gate. *)
 
 let run_resilience ~full =
-  banner "resilience: completion / p99 join latency / recovery vs replicas";
+  Eval.Experiments.banner "resilience: completion / p99 join latency / recovery vs replicas";
   let base =
     if full then Eval.Resilience_exp.default_config else Eval.Resilience_exp.quick_config
   in
@@ -865,7 +764,7 @@ let run_resilience ~full =
    under-saturation row, written to BENCH_load.json for the CI gate. *)
 
 let run_load ~full =
-  banner "load: flash crowd x shedding policy (admission control)";
+  Eval.Experiments.banner "load: flash crowd x shedding policy (admission control)";
   let base = if full then Eval.Load_exp.default_config else Eval.Load_exp.quick_config in
   let configs =
     List.map (fun policy -> { base with Eval.Load_exp.policy }) Eval.Load_exp.policies
@@ -922,7 +821,7 @@ let run_load ~full =
    BENCH_wire.json for the CI gate. *)
 
 let run_wire ~full =
-  banner "wire: bytes per join / per query, amplification, batching saving";
+  Eval.Experiments.banner "wire: bytes per join / per query, amplification, batching saving";
   let config = if full then Eval.Wire_exp.default_config else Eval.Wire_exp.quick_config in
   let r = Eval.Wire_exp.run config in
   Eval.Wire_exp.print r;
@@ -948,7 +847,7 @@ let run_wire ~full =
    BENCH_health.json for the CI gate. *)
 
 let run_health ~full =
-  banner "health: divergence detection, reconvergence lag, report staleness";
+  Eval.Experiments.banner "health: divergence detection, reconvergence lag, report staleness";
   let config = if full then Eval.Health_exp.default_config else Eval.Health_exp.quick_config in
   let r = Eval.Health_exp.run config in
   Eval.Health_exp.print r;
@@ -973,7 +872,7 @@ let run_health ~full =
    judging. *)
 
 let run_regress ~baseline_dir ~update ~pairs =
-  banner "bench regression gate";
+  Eval.Experiments.banner "bench regression gate";
   if update then begin
     (if not (Sys.file_exists baseline_dir) then Sys.mkdir baseline_dir 0o755);
     List.iter
@@ -1022,30 +921,25 @@ let run_regress ~baseline_dir ~update ~pairs =
     else Printf.printf "\nregress: all metrics within tolerance\n"
   end
 
-let run_all ~full ~sweep_max =
-  run_micro ();
-  run_fig2 ~full;
-  run_complexity ~full;
-  run_landmarks ~full;
-  run_superpeers ~full;
-  run_churn ~full;
-  run_truncate ~full;
-  run_setup_delay ~full;
-  run_metric ~full;
-  run_streaming ~full;
-  run_stretch ~full;
-  run_maintenance ~full;
-  run_topology_sensitivity ~full;
-  run_registry ~full ~sweep_max;
-  run_obs ~full;
-  run_dht ~full;
-  run_inflation ~full;
-  run_bulk ~full;
-  run_joining ~full;
-  run_resilience ~full;
-  run_load ~full;
-  run_wire ~full;
-  run_health ~full
+(* Every section, in the order a no-argument run takes them: the
+   micro-benchmarks, the experiment table, then the bench-only sections. *)
+let sections ~full ~sweep_max =
+  (("micro", run_micro)
+  :: List.map
+       (fun (e : Eval.Experiments.t) ->
+         ( e.name,
+           fun () ->
+             Eval.Experiments.banner e.title;
+             e.run ~quick:(not full) ~seed:None Eval.Experiments.no_size ))
+       Eval.Experiments.all)
+  @ [
+      ("registry", fun () -> run_registry ~full ~sweep_max);
+      ("obs", fun () -> run_obs ~full);
+      ("resilience", fun () -> run_resilience ~full);
+      ("load", fun () -> run_load ~full);
+      ("wire", fun () -> run_wire ~full);
+      ("health", fun () -> run_health ~full);
+    ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1070,7 +964,7 @@ let () =
   in
   let args, baseline_dir = extract_baseline [] (Filename.concat "bench" "baselines") args in
   (* --sweep-max N caps the registry scaling sweep (default: the full
-     million) — the CI scale job trims it to 100k. *)
+     million); CI trims it to 100k. *)
   let rec extract_sweep_max acc cap = function
     | "--sweep-max" :: n :: rest -> (
         match int_of_string_opt n with
@@ -1082,33 +976,11 @@ let () =
     | [] -> (List.rev acc, cap)
   in
   let args, sweep_max = extract_sweep_max [] 1_000_000 args in
+  let sections = sections ~full ~sweep_max in
   match args with
-  | [] -> run_all ~full ~sweep_max
-  | [ "micro" ] -> run_micro ()
-  | [ "fig2" ] -> run_fig2 ~full
-  | [ "complexity" ] -> run_complexity ~full
-  | [ "landmarks" ] -> run_landmarks ~full
-  | [ "superpeers" ] -> run_superpeers ~full
-  | [ "churn" ] -> run_churn ~full
-  | [ "truncate" ] -> run_truncate ~full
-  | [ "setup-delay" ] -> run_setup_delay ~full
-  | [ "metric" ] -> run_metric ~full
-  | [ "streaming" ] -> run_streaming ~full
-  | [ "stretch" ] -> run_stretch ~full
-  | [ "maintenance" ] -> run_maintenance ~full
-  | [ "topologies" ] -> run_topology_sensitivity ~full
-  | [ "registry" ] -> run_registry ~full ~sweep_max
-  | [ "obs" ] -> run_obs ~full
-  | [ "dht" ] -> run_dht ~full
-  | [ "inflation" ] -> run_inflation ~full
-  | [ "bulk" ] -> run_bulk ~full
-  | [ "joining" ] -> run_joining ~full
-  | [ "resilience" ] -> run_resilience ~full
-  | [ "load" ] -> run_load ~full
-  | [ "wire" ] -> run_wire ~full
-  | [ "health" ] -> run_health ~full
-  (* `regress [FILE...]` gates only the named BENCH files (default: all) —
-     the CI scale job regenerates and judges just BENCH_registry.json. *)
+  | [] -> List.iter (fun (_, run) -> run ()) sections
+  | [ name ] when List.mem_assoc name sections -> List.assoc name sections ()
+  (* `regress [FILE...]` gates only the named BENCH files (default: all). *)
   | "regress" :: onlys ->
       let pairs =
         match onlys with
@@ -1126,9 +998,7 @@ let () =
       in
       run_regress ~baseline_dir ~update ~pairs
   | other ->
-      Printf.eprintf
-        "unknown bench %S; available: micro fig2 complexity landmarks superpeers churn truncate \
-         setup-delay metric streaming stretch maintenance topologies registry obs dht inflation \
-         bulk joining resilience load wire health regress [--full]\n"
-        (String.concat " " other);
+      Printf.eprintf "unknown bench %S; available: %s regress [--full]\n"
+        (String.concat " " other)
+        (String.concat " " (List.map fst sections));
       exit 1

@@ -124,15 +124,6 @@ type phase = {
   p_cluster : Nearby.Cluster.t;
 }
 
-let worst_rpc_ms (c : Simkit.Rpc.config) =
-  let backoffs = ref 0.0 in
-  for a = 1 to c.max_attempts - 1 do
-    backoffs :=
-      !backoffs
-      +. (c.backoff_base_ms *. (c.backoff_multiplier ** float_of_int (a - 1)) *. (1.0 +. c.jitter_frac))
-  done;
-  (float_of_int c.max_attempts *. c.timeout_ms) +. !backoffs
-
 let run_phase (config : config) ~batched =
   let w =
     Workload.build ~routers:config.routers ~landmark_count:config.landmark_count
@@ -168,8 +159,8 @@ let run_phase (config : config) ~batched =
         Simkit.Transport.set_loss_prob transport 0.0)
   end;
   let horizon =
-    config.arrival_window_ms +. worst_rpc_ms config.rpc +. (3.0 *. config.sync_period_ms)
-    +. 1_000.0
+    config.arrival_window_ms +. Simkit.Rpc.worst_case_ms config.rpc
+    +. (3.0 *. config.sync_period_ms) +. 1_000.0
   in
   Nearby.Cluster.start_sync cluster ~period_ms:config.sync_period_ms ~until:horizon;
   let completed = ref 0 and failed = ref 0 in

@@ -99,6 +99,15 @@ let backoff_ms t ~attempt =
       raw *. (1.0 +. spread)
   | _ -> raw
 
+let worst_case_ms c =
+  let backoffs = ref 0.0 in
+  for a = 1 to c.max_attempts - 1 do
+    backoffs :=
+      !backoffs
+      +. (c.backoff_base_ms *. (c.backoff_multiplier ** float_of_int (a - 1)) *. (1.0 +. c.jitter_frac))
+  done;
+  (float_of_int c.max_attempts *. c.timeout_ms) +. !backoffs
+
 (* Flight-recorder taps: every notable outcome leaves one event, stamped
    with the engine clock, so a post-breach dump shows which calls were
    timing out, failing over or dying against a downed server.  Call sites

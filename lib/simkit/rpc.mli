@@ -91,6 +91,11 @@ val backoff_ms : t -> attempt:int -> float
 (** The (jittered) backoff charged after attempt [attempt] times out —
     consumes a draw from the rng when jitter is active. *)
 
+val worst_case_ms : config -> float
+(** The longest a call under [config] can take to settle: [max_attempts]
+    timeouts plus every backoff at its largest jitter.  Experiments size
+    their simulated horizon with it. *)
+
 val trace : t -> Trace.t
 (** Outcome counters: ["rpc_calls"], ["rpc_attempts"], ["rpc_retries"],
     ["rpc_timeouts"], ["rpc_ok"], ["rpc_gave_up"], ["rpc_no_target"]
